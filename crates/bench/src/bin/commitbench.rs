@@ -66,9 +66,7 @@ impl CommitSink<u64, u64> for LagSink {
 ///
 /// Every block of the chain is "ingested" when the chain is dispatched (the
 /// first `begin_block`); a block's lag is the time from dispatch until its
-/// last transaction commits. Block boundaries arrive as `begin_block` calls,
-/// which the chain executor emits strictly after the previous block has fully
-/// committed, so a sequential recorder suffices.
+/// commit stream ends (`end_block`, right after its last commit).
 #[derive(Default)]
 struct ChainLagSink {
     state: Mutex<ChainLagState>,
@@ -77,42 +75,31 @@ struct ChainLagSink {
 #[derive(Default)]
 struct ChainLagState {
     dispatched: Option<Instant>,
-    last_commit_us: Option<u64>,
     completed_us: Vec<usize>,
 }
 
 impl ChainLagSink {
-    /// Closes out the final block and returns per-block lags in microseconds.
+    /// Returns per-block lags in microseconds.
     fn finish(&self) -> Vec<usize> {
-        let mut state = self.state.lock();
-        if let Some(last) = state.last_commit_us.take() {
-            state.completed_us.push(last as usize);
-        }
-        std::mem::take(&mut state.completed_us)
+        std::mem::take(&mut self.state.lock().completed_us)
     }
 }
 
 impl CommitSink<u64, u64> for ChainLagSink {
     fn begin_block(&self, _block_size: usize) {
-        let mut state = self.state.lock();
-        match state.dispatched {
-            None => state.dispatched = Some(Instant::now()),
-            Some(dispatched) => {
-                // Previous block fully committed; empty blocks commit the
-                // instant they open.
-                let lag = state
-                    .last_commit_us
-                    .take()
-                    .unwrap_or_else(|| dispatched.elapsed().as_micros() as u64);
-                state.completed_us.push(lag as usize);
-            }
-        }
+        self.state
+            .lock()
+            .dispatched
+            .get_or_insert_with(Instant::now);
     }
 
-    fn on_commit(&self, _event: &CommitEvent<'_, u64, u64>) {
+    fn on_commit(&self, _event: &CommitEvent<'_, u64, u64>) {}
+
+    fn end_block(&self, _committed: usize) {
         let mut state = self.state.lock();
         if let Some(dispatched) = state.dispatched {
-            state.last_commit_us = Some(dispatched.elapsed().as_micros() as u64);
+            let lag = dispatched.elapsed().as_micros() as usize;
+            state.completed_us.push(lag);
         }
     }
 }

@@ -158,6 +158,7 @@ fn drive_commits(
             execution_cursor: txn_idx + 1,
         });
     }
+    sink.end_block(outputs.len());
 }
 
 fn main() {

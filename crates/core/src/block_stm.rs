@@ -361,6 +361,7 @@ impl BlockStm {
         if num_txns == 0 {
             for sink in sinks {
                 sink.begin_block(0);
+                sink.end_block(0);
             }
             if let Some(limiter) = limiter {
                 limiter.begin_block(0);
@@ -500,6 +501,8 @@ pub(crate) struct DrainState<K, V> {
     pub(crate) cut: Option<usize>,
     /// A typed failure discovered while draining (hook mismatch, missing output).
     pub(crate) failure: Option<ExecutionError>,
+    /// Set once the sinks were sent `end_block` for this block.
+    pub(crate) ended: bool,
     /// Chained execution only (stays empty otherwise): last committed write per
     /// key, in commit order. The chain advance harvests the block's `updates`
     /// from this map in O(block writes) — a slot's interner accumulates the
@@ -514,6 +517,7 @@ impl<K, V> Default for DrainState<K, V> {
             drained: 0,
             cut: None,
             failure: None,
+            ended: false,
             block_updates: HashMap::new(),
         }
     }
@@ -926,7 +930,8 @@ where
     /// Processes the scheduler's committed prefix in order, exactly once per
     /// transaction: records the commit-lag metric, freezes the multi-version
     /// entries, asks the [`BlockLimiter`] whether the block continues and delivers
-    /// the output to the [`CommitSink`]. One drainer at a time; with
+    /// the output to the [`CommitSink`] — then, once the block's stream is complete,
+    /// [`CommitSink::end_block`]. One drainer at a time; with
     /// `block_on_lock == false` the call is a cheap no-op when another worker holds
     /// the drain (its loop re-reads the watermark, so nothing is missed for long —
     /// and the post-run blocking drain guarantees completeness).
@@ -1086,6 +1091,19 @@ where
             self.mvmemory.freeze_committed_prefix(state.drained);
             self.metrics
                 .record_commits((state.drained - drained_before) as u64, lag_sum, lag_max);
+        }
+        // The block's commit stream is complete once every transaction drained
+        // or the limiter cut it (`drained` is then the cut point): tell the
+        // sinks now, still under the drain lock, so `end_block` follows the last
+        // `on_commit` and precedes the next block's `begin_block`.
+        if !state.ended
+            && state.failure.is_none()
+            && (state.cut.is_some() || state.drained == self.block.len())
+        {
+            state.ended = true;
+            for sink in self.sinks {
+                sink.end_block(state.drained);
+            }
         }
         Some(state.drained)
     }

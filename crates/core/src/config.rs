@@ -5,8 +5,8 @@
 ///
 /// The defaults reproduce the configuration evaluated in the paper plus the rolling
 /// commit ladder; the individual switches exist so the ablation benchmarks can
-/// quantify each optimization (see DESIGN.md, "Ablations", and the `commitbench`
-/// ladder-on/off comparison).
+/// quantify each optimization (see the `ablation` criterion bench in
+/// `crates/bench` and the `commitbench` ladder-on/off comparison).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutorOptions {
     /// Number of worker threads. `0` (the default) means "use all available

@@ -16,7 +16,8 @@
 //!
 //! Both hooks attach to `BlockStmBuilder` once and are reused block after block
 //! ([`CommitSink::begin_block`] / [`BlockLimiter::begin_block`] re-arm any per-block
-//! state). The executor is deliberately *not* generic over the state model, so the
+//! state; [`CommitSink::end_block`] marks the moment a block's commit stream is
+//! complete). The executor is deliberately *not* generic over the state model, so the
 //! hooks are stored type-erased and re-matched against the block's `(Key, Value)`
 //! types at execution time; a mismatch is reported as a typed error, never a panic.
 
@@ -57,14 +58,32 @@ impl<K, V> CommitEvent<'_, K, V> {
 /// from whichever worker thread drains the commit ladder — implementations must be
 /// `Send + Sync` and should be quick (a slow sink delays the drain, not correctness).
 ///
+/// Per block, a sink sees exactly this sequence, with nothing from another block
+/// interleaved (on `BlockStm::execute_block` and `ChainExecutor` streams alike):
+///
+/// ```text
+/// begin_block(n)   on_commit(0) … on_commit(m - 1)   end_block(m)
+/// ```
+///
+/// where `m == n`, or `m < n` when a [`BlockLimiter`] cut the block at `m`;
+/// an empty block is `begin_block(0)` then `end_block(0)`.
+///
 /// If `execute_block` returns an error (worker panic, broken invariant), deliveries
-/// already made for that block must be considered abandoned along with the block.
+/// already made for that block must be considered abandoned along with the block,
+/// and its `end_block` is not called.
 pub trait CommitSink<K, V>: Send + Sync {
     /// Called once when a block starts executing; re-arm per-block state here.
     fn begin_block(&self, _block_size: usize) {}
 
     /// Called exactly once per committed transaction, in preset order.
     fn on_commit(&self, event: &CommitEvent<'_, K, V>);
+
+    /// Called once per block, on the draining thread, the moment the block's
+    /// commit stream is complete: right after its last `on_commit`, with the
+    /// number of transactions committed (the cut point after a limiter cut, `0`
+    /// for an empty block). Always precedes the next block's `begin_block` — the
+    /// place to flush per-block output without waiting for the next block.
+    fn end_block(&self, _committed: usize) {}
 }
 
 /// A [`CommitSink`] that fans one commit stream out to several sinks.
@@ -74,8 +93,8 @@ pub trait CommitSink<K, V>: Send + Sync {
 /// same combinator as a value: compose sinks *before* attaching (or nest
 /// groups), hand the composite to anything that accepts a single
 /// `Arc<dyn CommitSink>`. Delivery guarantees are unchanged — each inner sink
-/// observes every commit in preset order, exactly once, and `begin_block`
-/// reaches each inner sink once per block.
+/// observes every commit in preset order, exactly once, and `begin_block` and
+/// `end_block` reach each inner sink once per block.
 ///
 /// ```
 /// use block_stm::{CommitEvent, CommitSink, MultiSink};
@@ -144,6 +163,12 @@ where
     fn on_commit(&self, event: &CommitEvent<'_, K, V>) {
         for sink in &self.sinks {
             sink.on_commit(event);
+        }
+    }
+
+    fn end_block(&self, committed: usize) {
+        for sink in &self.sinks {
+            sink.end_block(committed);
         }
     }
 }
@@ -231,6 +256,7 @@ pub(crate) trait ErasedCommitSink: Send + Sync {
         resolved_deltas: &dyn Any,
         execution_cursor: usize,
     ) -> bool;
+    fn end_block(&self, committed: usize);
 }
 
 pub(crate) struct SinkAdapter<K, V> {
@@ -240,6 +266,10 @@ pub(crate) struct SinkAdapter<K, V> {
 impl<K: Send + Sync + 'static, V: Send + Sync + 'static> ErasedCommitSink for SinkAdapter<K, V> {
     fn begin_block(&self, block_size: usize) {
         self.sink.begin_block(block_size);
+    }
+
+    fn end_block(&self, committed: usize) {
+        self.sink.end_block(committed);
     }
 
     fn on_commit_erased(
@@ -348,19 +378,26 @@ mod tests {
     fn multi_sink_fans_out_in_attach_order() {
         use parking_lot::Mutex;
 
+        /// `(sink tag, "begin" | "end", argument)` per block-edge call.
+        type EdgeLog = Arc<Mutex<Vec<(u32, &'static str, usize)>>>;
+
         struct Tagged {
             tag: u32,
             log: Arc<Mutex<Vec<(u32, usize)>>>,
-            blocks: Arc<Mutex<Vec<(u32, usize)>>>,
+            blocks: EdgeLog,
         }
 
         impl CommitSink<u64, u64> for Tagged {
             fn begin_block(&self, block_size: usize) {
-                self.blocks.lock().push((self.tag, block_size));
+                self.blocks.lock().push((self.tag, "begin", block_size));
             }
 
             fn on_commit(&self, event: &CommitEvent<'_, u64, u64>) {
                 self.log.lock().push((self.tag, event.txn_idx));
+            }
+
+            fn end_block(&self, committed: usize) {
+                self.blocks.lock().push((self.tag, "end", committed));
             }
         }
 
@@ -387,7 +424,16 @@ mod tests {
                 execution_cursor: idx + 1,
             });
         }
-        assert_eq!(*blocks.lock(), vec![(1, 5), (2, 5)]);
+        fanout.end_block(2);
+        assert_eq!(
+            *blocks.lock(),
+            vec![
+                (1, "begin", 5),
+                (2, "begin", 5),
+                (1, "end", 2),
+                (2, "end", 2)
+            ]
+        );
         assert_eq!(*log.lock(), vec![(1, 0), (2, 0), (1, 1), (2, 1)]);
     }
 

@@ -187,6 +187,10 @@ impl<K, V> CommitSink<K, V> for ForwardSink<K, V> {
     fn on_commit(&self, event: &CommitEvent<'_, K, V>) {
         self.0.on_commit(event);
     }
+
+    fn end_block(&self, committed: usize) {
+        self.0.end_block(committed);
+    }
 }
 
 /// A point-in-time view of the node's counters and latency distributions,

@@ -12,8 +12,11 @@
 //! * [`WriteBehindSink`] — a [`CommitSink`](block_stm::CommitSink) that moves
 //!   durability off the critical path: commit events are batched in memory
 //!   and a background persister thread appends + fsyncs them, publishing a
-//!   **durable watermark**. [`SyncPersistSink`] is the fsync-per-commit
-//!   baseline it is measured against.
+//!   **durable watermark**. A batch is cut when a block's last commit drains
+//!   (and every `batch_events` events inside large blocks), so the watermark
+//!   trails a commit by about one block's execution, not by the wait for the
+//!   next block. [`SyncPersistSink`] is the fsync-per-commit baseline it is
+//!   measured against.
 //! * [`BlockCache`] — a block-scoped read-through cache over the log with
 //!   coalesced prefetch from declared/predicted access sets.
 //!

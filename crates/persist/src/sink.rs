@@ -64,9 +64,12 @@ enum Cmd<K, V> {
 /// Batches of committed `(key, value)` records — full writes plus resolved
 /// deltas — are handed to a background persister thread, which appends one
 /// checksummed frame per batch and fsyncs it before publishing the advanced
-/// durable watermark. Batches are cut every [`batch_events`] commit events and
-/// at every block boundary, so a block-limiter cut persists **exactly the
-/// truncated prefix**: sinks are only ever shown commits the limiter admitted.
+/// durable watermark. A batch is cut every [`batch_events`] commit events and
+/// when a block's last commit drains ([`CommitSink::end_block`]), so the
+/// durable watermark trails a commit by about one block's execution plus one
+/// append — never by the wait for the next block. A block-limiter cut
+/// persists **exactly the truncated prefix**: sinks are only ever shown
+/// commits the limiter admitted.
 ///
 /// [`batch_events`]: WriteBehindSink::with_batch_events
 pub struct WriteBehindSink<K, V> {
@@ -94,9 +97,10 @@ where
         Self::spawn(store, DEFAULT_BATCH_EVENTS, None)
     }
 
-    /// Sets how many commit events accumulate before a batch is cut (block
-    /// boundaries always cut one regardless). Smaller batches shrink the
-    /// durability lag; larger batches amortize more fsyncs.
+    /// Sets how many commit events accumulate before a batch is cut (the end
+    /// of a block always cuts one regardless). This bounds batches inside large
+    /// blocks: smaller batches shrink their durability lag, larger batches
+    /// amortize more fsyncs.
     pub fn with_batch_events(self, batch_events: u64) -> Self {
         self.batch_events
             .store(batch_events.max(1), Ordering::Relaxed);
@@ -253,10 +257,10 @@ where
     K: PersistCodec + Eq + Hash + Clone + Send + Sync + 'static,
     V: PersistCodec + Clone + Send + Sync + 'static,
 {
-    fn begin_block(&self, _block_size: usize) {
-        // Align batches with block boundaries: whatever the previous block
-        // left pending is cut here, so a later `BlockLimiter` cut can never
-        // share a frame with a different block's commits.
+    fn end_block(&self, _committed: usize) {
+        // The block's last commit just drained: hand its tail to the persister
+        // now rather than when the next block begins, so an idle stream's last
+        // block becomes durable too.
         self.cut_pending();
     }
 
@@ -351,6 +355,7 @@ mod tests {
     use super::*;
     use crate::testing::TempDir;
     use block_stm_vm::{TransactionOutput, WriteOp};
+    use std::time::{Duration, Instant};
 
     fn output(writes: &[(u64, u64)]) -> TransactionOutput<u64, u64> {
         TransactionOutput {
@@ -382,6 +387,27 @@ mod tests {
         assert_eq!(store.get_value(&1).unwrap(), Some(11));
         assert_eq!(store.get_value(&2).unwrap(), Some(20));
         assert_eq!(sink.close().unwrap(), 3);
+    }
+
+    #[test]
+    fn end_block_makes_the_block_durable_without_a_flush() {
+        let dir = TempDir::new("sink-end-block");
+        let store = Arc::new(LogStore::open(dir.path().join("log")).unwrap());
+        let sink = WriteBehindSink::new(store.clone());
+        sink.begin_block(2);
+        commit(&sink, 0, &output(&[(1, 10)]));
+        commit(&sink, 1, &output(&[(2, 20)]));
+        assert_eq!(store.durable_watermark(), 0, "below batch_events: pending");
+        sink.end_block(2);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while store.durable_watermark() < 2 {
+            assert!(
+                Instant::now() < deadline,
+                "end_block never reached the disk"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(store.get_value(&2).unwrap(), Some(20));
     }
 
     #[test]

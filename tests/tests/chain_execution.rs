@@ -13,19 +13,25 @@
 //! and a mid-stream [`BlockGasLimit`] cut must truncate the same blocks at the
 //! same transactions. Proptest cases randomize the workload shape, chunking
 //! and thread count (1–8); failing seeds persist to
-//! `proptest-regressions/chain_execution.txt`.
+//! `proptest-regressions/chain_execution.txt`. Sinks must see the stream block
+//! by block — `begin_block`, the block's commits, `end_block` — on both
+//! `execute_chain` and `execute_stream`.
 
-use block_stm::{BlockGasLimit, BlockOutput, BlockStmBuilder, ChainOutput, Transaction, Vm};
+use block_stm::{
+    BlockFeed, BlockGasLimit, BlockOutput, BlockStmBuilder, ChainOutput, MultiSink, Transaction, Vm,
+};
 use block_stm_storage::{AccessPath, InMemoryStorage, StateValue};
+use block_stm_tests::{expected_calls, HookLog};
 use block_stm_vm::synthetic::SyntheticTransaction;
 use block_stm_vm::AbortCode;
 use block_stm_workloads::accounts::AccountTransaction;
 use block_stm_workloads::{ConservationOracle, Erc20Workload, EthTransferWorkload, FeeMode};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 type AccountStorage = InMemoryStorage<AccessPath, StateValue>;
 
@@ -286,6 +292,75 @@ fn mid_stream_gas_cut_truncates_the_same_transactions_chained_and_barriered() {
     for threads in [1usize, 2, 4, 8] {
         let chained = run_chain(&blocks, &storage, threads, Some(budget));
         assert_chain_matches_barrier(&format!("eth-cut@{threads}"), &chained, &barrier);
+    }
+}
+
+/// The sink hook contract on chained streams: at 1–8 threads, sliced and
+/// streamed (a source that keeps running dry), with and without a gas cut, and
+/// with empty blocks mid-stream and at the end, every sink — directly attached
+/// or behind a `MultiSink` — sees each block as `begin(n)`, commits `0..m`,
+/// `end(m)`, strictly before the next block's `begin`.
+#[test]
+fn chain_sinks_see_begin_commits_end_per_block_in_stream_order() {
+    let workload = EthTransferWorkload::new(30, 150);
+    let (storage, block) = workload.generate();
+    let mut blocks = chunk_into_blocks(&block, 5);
+    blocks.insert(2, Vec::new());
+    blocks.push(Vec::new());
+    let heaviest: u64 = barrier_reference(&blocks, &storage, None)
+        .iter()
+        .map(|block| block.outputs.iter().map(|o| o.gas_used).sum())
+        .max()
+        .unwrap();
+    for budget in [None, Some(heaviest * 7 / 10)] {
+        let barrier = barrier_reference(&blocks, &storage, budget);
+        let shapes: Vec<(usize, usize)> = blocks
+            .iter()
+            .zip(&barrier)
+            .map(|(block, output)| (block.len(), output.truncated_at.unwrap_or(block.len())))
+            .collect();
+        let expected = expected_calls(&shapes);
+        for threads in 1usize..=8 {
+            for streamed in [false, true] {
+                let label = format!("threads {threads}, streamed {streamed}, budget {budget:?}");
+                let direct = Arc::new(HookLog::default());
+                let fanned = Arc::new(HookLog::default());
+                let mut builder = BlockStmBuilder::new(Vm::for_testing())
+                    .concurrency(threads)
+                    .commit_sink::<AccessPath, StateValue>(direct.clone())
+                    .commit_sink::<AccessPath, StateValue>(Arc::new(
+                        MultiSink::new().with(fanned.clone()),
+                    ));
+                if let Some(budget) = budget {
+                    builder = builder.block_limiter::<AccessPath, StateValue>(Arc::new(
+                        BlockGasLimit::new(budget),
+                    ));
+                }
+                let chain = builder.build_chain();
+                let chained = if streamed {
+                    // Yield a block only every third poll, so the chain runs dry
+                    // and announces late heads from its settle path too.
+                    let pending = Mutex::new(blocks.iter().cloned().collect::<VecDeque<_>>());
+                    let polls = AtomicUsize::new(0);
+                    let source = move || {
+                        if polls.fetch_add(1, Ordering::Relaxed) % 3 != 2 {
+                            return BlockFeed::Pending;
+                        }
+                        match pending.lock().unwrap().pop_front() {
+                            Some(block) => BlockFeed::Ready(block),
+                            None => BlockFeed::End,
+                        }
+                    };
+                    chain.execute_stream(&source, &storage)
+                } else {
+                    chain.execute_chain(&blocks, &storage)
+                }
+                .expect("chained execution failed");
+                assert_chain_matches_barrier(&label, &chained, &barrier);
+                assert_eq!(direct.calls(), expected, "[{label}] direct sink");
+                assert_eq!(fanned.calls(), expected, "[{label}] MultiSink");
+            }
+        }
     }
 }
 

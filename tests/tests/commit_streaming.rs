@@ -8,10 +8,16 @@
 //!   schedules — at 1–8 threads;
 //! * a `BlockGasLimit` cut mid-block produces exactly the sequential execution of
 //!   the truncated block;
-//! * the commit-lag and committed-prefix-read metrics are populated.
+//! * the commit-lag and committed-prefix-read metrics are populated;
+//! * every sink (directly attached or behind a `MultiSink`) sees each block as
+//!   `begin_block(n)`, its commits in order, then `end_block(m)` — `m` the cut
+//!   point after a limiter cut — before the next block begins.
 
-use block_stm::{BlockGasLimit, BlockStmBuilder, CommitEvent, CommitSink, SequentialExecutor, Vm};
+use block_stm::{
+    BlockGasLimit, BlockStmBuilder, CommitEvent, CommitSink, MultiSink, SequentialExecutor, Vm,
+};
 use block_stm_storage::InMemoryStorage;
+use block_stm_tests::{expected_calls, HookLog};
 use block_stm_vm::synthetic::SyntheticTransaction;
 use block_stm_workloads::{CommitStallWorkload, LongChainWorkload, SyntheticWorkload};
 use parking_lot::Mutex;
@@ -135,6 +141,80 @@ proptest! {
         for (p, s) in output.outputs.iter().zip(truncated.outputs.iter()) {
             prop_assert_eq!(&p.writes, &s.writes);
             prop_assert_eq!(p.abort_code, s.abort_code);
+        }
+    }
+
+    /// The sink hook contract: one executor runs the block, an empty block and
+    /// the block again; each sink sees exactly `begin(n)`, commits `0..m`,
+    /// `end(m)` per block, with `m` the limiter's cut point when one bites —
+    /// also through a `MultiSink`.
+    #[test]
+    fn sinks_see_begin_commits_end_per_block(
+        block in vec(arb_txn(), 0..40),
+        threads in 1usize..9,
+        with_cut in any::<bool>(),
+        cut_pct in 0u64..100,
+    ) {
+        let storage = initial_storage();
+        let direct = Arc::new(HookLog::default());
+        let fanned = Arc::new(HookLog::default());
+        let mut builder = BlockStmBuilder::new(Vm::for_testing())
+            .concurrency(threads)
+            .commit_sink::<u64, u64>(direct.clone())
+            .commit_sink::<u64, u64>(Arc::new(MultiSink::new().with(fanned.clone())));
+        if with_cut {
+            let full = SequentialExecutor::new(Vm::for_testing())
+                .execute_block(&block, &storage)
+                .unwrap();
+            let total_gas: u64 = full.outputs.iter().map(|o| o.gas_used).sum();
+            let budget = total_gas * cut_pct / 100;
+            builder = builder.block_limiter::<u64, u64>(Arc::new(BlockGasLimit::new(budget)));
+        }
+        let executor = builder.build();
+        let mut shapes = Vec::new();
+        for run in [&block[..], &[], &block[..]] {
+            let output = executor.execute_block(run, &storage).unwrap();
+            shapes.push((run.len(), output.truncated_at.unwrap_or(run.len())));
+        }
+        let expected = expected_calls(&shapes);
+        prop_assert_eq!(direct.calls(), expected.clone());
+        prop_assert_eq!(fanned.calls(), expected);
+    }
+}
+
+/// The hook contract at every thread count 1–8, with and without a gas cut
+/// mid-block, over a conflict-heavy synthetic block.
+#[test]
+fn hook_contract_holds_at_every_thread_count() {
+    let storage = initial_storage();
+    let block = SyntheticWorkload::new(KEYS, 60)
+        .with_seed(0x23)
+        .generate_block();
+    let full = SequentialExecutor::new(Vm::for_testing())
+        .execute_block(&block, &storage)
+        .unwrap();
+    let half_gas: u64 = full.outputs.iter().map(|o| o.gas_used).sum::<u64>() / 2;
+    for threads in 1usize..=8 {
+        for budget in [None, Some(half_gas)] {
+            let log = Arc::new(HookLog::default());
+            let mut builder = BlockStmBuilder::new(Vm::for_testing())
+                .concurrency(threads)
+                .commit_sink::<u64, u64>(log.clone());
+            if let Some(budget) = budget {
+                builder = builder.block_limiter::<u64, u64>(Arc::new(BlockGasLimit::new(budget)));
+            }
+            let executor = builder.build();
+            let mut shapes = Vec::new();
+            for _ in 0..3 {
+                let output = executor.execute_block(&block, &storage).unwrap();
+                assert_eq!(output.is_truncated(), budget.is_some(), "{threads} threads");
+                shapes.push((block.len(), output.truncated_at.unwrap_or(block.len())));
+            }
+            assert_eq!(
+                log.calls(),
+                expected_calls(&shapes),
+                "{threads} threads, budget {budget:?}"
+            );
         }
     }
 }

@@ -20,7 +20,8 @@
 //! walk, non-blocking typed backpressure) and the fault-injection path: a
 //! durability sink whose persister silently dies mid-run must surface
 //! [`NodeError::SinkStalled`] at shutdown — never hang, never pass — and a
-//! reopened log must recover exactly the durable-watermark prefix.
+//! reopened log must recover exactly the durable-watermark prefix. A healthy
+//! sink on an idle node must make the last block durable without a flush.
 
 use block_stm::{SequentialExecutor, Vm};
 use block_stm_node::{EngineMode, Node, NodeBuilder, NodeError, NodeReport};
@@ -304,6 +305,46 @@ fn adaptive_engine_rejects_durability_at_build_time() {
         Ok(_) => panic!("adaptive + durability must be rejected"),
         Err(other) => panic!("expected Config error, got {other}"),
     }
+}
+
+/// An idle node must not hold its last block back from disk: fewer
+/// transactions than one write-behind batch, then no more traffic — once they
+/// commit, the durable watermark reaches the committed count with no flush
+/// and no shutdown (the block's end is the cut).
+#[test]
+fn idle_node_makes_its_last_block_durable_without_a_flush() {
+    let workload = eth_workload(20, 20);
+    let (genesis, txns) = workload.generate();
+    let dir = TempDir::new("node-idle-durable");
+    let store = Arc::new(DiskStorage::open(dir.path().join("state.log")).unwrap());
+    store.ingest_genesis(&workload.genesis_builder()).unwrap();
+    let sink = Arc::new(WriteBehindSink::new(store.clone()));
+    let node = Node::builder(Vm::for_testing(), genesis)
+        .concurrency(2)
+        .max_wait(Duration::from_millis(2))
+        .durability(sink)
+        .start()
+        .expect("node starts");
+    submit_all(&node, &txns);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while node.snapshot().committed_txns < 20 {
+        assert!(Instant::now() < deadline, "transactions never committed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    while store.durable_watermark() < 20 {
+        assert!(
+            Instant::now() < deadline,
+            "idle node left its committed transactions pending: durable watermark {} of 20",
+            store.durable_watermark()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(store.durable_watermark(), 20);
+
+    let report = node.shutdown().expect("clean drain");
+    assert!(report.committed_exactly_once());
+    assert_eq!(report.durable_watermark, Some(20));
 }
 
 #[test]

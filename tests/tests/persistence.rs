@@ -26,6 +26,7 @@ use block_stm_workloads::{ConservationOracle, Erc20Workload, EthTransferWorkload
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 type AccountStorage = InMemoryStorage<AccessPath, StateValue>;
 type DiskStorage = LogStore<AccessPath, StateValue>;
@@ -219,6 +220,25 @@ fn erc20_rmw_blocks_conform_on_disk_including_bohm() {
     );
 }
 
+/// Waits (bounded) until the store's durable watermark reaches `events`,
+/// without flushing anything.
+fn await_durable(store: &DiskStorage, events: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while store.durable_watermark() < events {
+        assert!(
+            Instant::now() < deadline,
+            "durable watermark stuck at {} of {events} without a flush",
+            store.durable_watermark()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        store.durable_watermark(),
+        events,
+        "nothing beyond the stream"
+    );
+}
+
 /// One streamed commit: the transaction index and its materialized deltas.
 type StreamedCommit = (usize, Vec<(AccessPath, StateValue)>);
 
@@ -283,8 +303,9 @@ fn write_behind_sink_persists_the_whole_block_through_the_store_it_reads() {
 /// PR 6's cut × delta regression, extended to disk: a `BlockGasLimit`
 /// truncation on a block with pending beneficiary fee *deltas*, executed
 /// directly over the log store with a write-behind sink attached, must leave
-/// the log holding **exactly** the committed prefix — with the beneficiary
-/// balance as a materialized value (the running fee total), never a raw delta.
+/// the log holding **exactly** the committed prefix — durable as soon as the
+/// cut block's stream ends, before any flush — with the beneficiary balance
+/// as a materialized value (the running fee total), never a raw delta.
 #[test]
 fn gas_limit_cut_persists_exactly_the_committed_prefix_with_materialized_deltas() {
     let workload = EthTransferWorkload::new(30, 200).with_failures(5, 5);
@@ -327,6 +348,10 @@ fn gas_limit_cut_persists_exactly_the_committed_prefix_with_materialized_deltas(
 
             let truncated = sequential.execute_block(&block[..cut], &mem).unwrap();
             assert_eq!(output.updates, truncated.updates);
+
+            // The admitted prefix goes to the persister when the cut block's
+            // stream ends (`end_block`): it becomes durable with no flush.
+            await_durable(&store, cut as u64);
 
             // Durability barrier, then recover from a fresh handle.
             let durable = wb.flush().unwrap();

@@ -96,7 +96,6 @@ fn main() {
 
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(threads)
-            .rolling_commit(true)
             .build_chain();
         let output = chain
             .execute_stream(&source, &genesis)

@@ -1,38 +1,39 @@
-//! Commit-ladder benchmark: rolling commit (ladder on, the default) vs the seed's
-//! batch-at-the-end completion (ladder off), plus commit-lag percentiles.
+//! Commit-ladder benchmark: throughput plus commit-lag percentiles of the rolling
+//! commit ladder, the delta machinery and chained execution.
 //!
-//! Four workloads bracket the ladder's (and the delta machinery's) behavior:
+//! Three workloads bracket the ladder's behavior:
 //!
 //! * `read-heavy` — a low-conflict block over a wide key universe with a zero-work
-//!   gas schedule, so the numbers isolate *engine* overhead: the ladder must not
-//!   cost throughput here (its drain is a watermark compare per loop iteration, and
-//!   the committed-prefix fast path removes descriptor recording for settled
-//!   reads);
+//!   gas schedule, so the numbers isolate *engine* overhead (the drain is a
+//!   watermark compare per loop iteration, and the committed-prefix fast path
+//!   removes descriptor recording for settled reads);
 //! * `long_chain` — every transaction depends on transaction 0 (mass
 //!   re-validation behind the hub; the wave bookkeeping's stress case);
 //! * `commit_stall` — a conflict-free block whose transaction 0 burns real gas:
 //!   everything validates immediately but must wait to commit, maximizing commit
-//!   lag;
-//! * `delta-hotspot` — every transaction bumps ONE shared aggregator while
-//!   burning real gas, compared **delta-on vs delta-off**: commutative deltas
-//!   execute each transaction exactly once (zero aborts, asserted), while the
-//!   read-modify-write shape re-burns every incarnation that speculated past an
-//!   in-flight writer. The binary asserts `delta-on tps >= delta-off tps` — the
-//!   CI bar for the aggregator machinery.
+//!   lag.
 //!
-//! Ladder-on rows additionally report the commit-lag distribution (p50/p99, in
-//! transactions), measured in a separate instrumented pass through a `CommitSink`
-//! so the throughput rows stay sink-free on both sides.
+//! Each row also reports the commit-lag distribution (p50/p99, in transactions),
+//! measured in a separate instrumented pass through a `CommitSink` so the
+//! throughput rows stay sink-free.
 //!
-//! A fifth section is the **chain mode**: a stream of 100+ small blocks executed
+//! `delta-hotspot` — every transaction bumps ONE shared aggregator while burning
+//! real gas — compares **delta-on vs delta-off**: commutative deltas execute each
+//! transaction exactly once (zero aborts, asserted), while the read-modify-write
+//! shape re-burns every incarnation that speculated past an in-flight writer.
+//!
+//! The last section is the **chain mode**: a stream of 100+ small blocks executed
 //! `barrier`-per-block (one `execute_block` per block, updates folded into
 //! storage between blocks) vs `chained` (one `ChainExecutor::execute_chain`
 //! dispatch pipelining through the cross-block frontier). Sustained TPS is the
-//! median of several reps; the binary asserts `chained >= barrier` — the CI bar
-//! for cross-block pipelining (held on the 1-cpu CI host). The chained row's lag
-//! columns report the **ingest→committed** distribution in microseconds: every
-//! block is ingested when the chain is dispatched, so per-block lag is the time
-//! until that block's last transaction commits.
+//! median of several reps. The chained row's lag columns report the
+//! **ingest→committed** distribution in microseconds: every block is ingested
+//! when the chain is dispatched, so per-block lag is the time until that block's
+//! last transaction commits.
+//!
+//! The `speedup` column is a printed ratio, never asserted: throughput
+//! regressions are judged by the repository benchmark (`benchmark/run.sh
+//! compare`), not by a single noisy run.
 //!
 //! Run with `cargo run -p block-stm-bench --release --bin commitbench`.
 //! Set `BLOCK_STM_BENCH_QUICK=1` for a fast smoke-test grid. Baselines are recorded
@@ -113,19 +114,19 @@ struct CommitbenchMeasurement {
     block_size: usize,
     tps: f64,
     avg_block_ms: f64,
-    /// Commit-lag percentiles: in transactions on ladder-on rows, in
+    /// Commit-lag percentiles: in transactions on `ladder` rows, in
     /// microseconds (ingest→committed per block) on the `chained` row,
     /// 0 otherwise.
     lag_p50: usize,
     lag_p99: usize,
     lag_max: usize,
-    /// Throughput ratio vs the row's baseline: `ladder-on / ladder-off`,
-    /// `delta-on / delta-off`, or `chained / barrier`; 1.0 on baseline rows.
-    speedup_vs_ladder_off: f64,
+    /// Throughput ratio vs the section's baseline row: `delta-on / delta-off`
+    /// or `chained / barrier`; 1.0 on baseline and `ladder` rows.
+    speedup: f64,
 }
 
 fn tsv_header() -> &'static str {
-    "workload\tmode\tthreads\tblocks\tblock_size\ttps\tavg_block_ms\tlag_p50\tlag_p99\tlag_max\tspeedup_vs_ladder_off"
+    "workload\tmode\tthreads\tblocks\tblock_size\ttps\tavg_block_ms\tlag_p50\tlag_p99\tlag_max\tspeedup"
 }
 
 impl CommitbenchMeasurement {
@@ -142,7 +143,7 @@ impl CommitbenchMeasurement {
             self.lag_p50,
             self.lag_p99,
             self.lag_max,
-            self.speedup_vs_ladder_off,
+            self.speedup,
         )
     }
 }
@@ -182,18 +183,11 @@ fn measure_workload(
     threads: usize,
     blocks: usize,
 ) {
-    let ladder_off = BlockStmBuilder::new(Vm::new(gas))
-        .concurrency(threads)
-        .rolling_commit(false)
-        .build();
-    let off_avg = timed_blocks(&ladder_off, block, storage, blocks);
-    drop(ladder_off);
-
-    let ladder_on = BlockStmBuilder::new(Vm::new(gas))
+    let engine = BlockStmBuilder::new(Vm::new(gas))
         .concurrency(threads)
         .build();
-    let on_avg = timed_blocks(&ladder_on, block, storage, blocks);
-    drop(ladder_on);
+    let avg = timed_blocks(&engine, block, storage, blocks);
+    drop(engine);
 
     // Separate instrumented pass for the lag distribution (one block is enough —
     // the workloads are deterministic; the sink adds its own cost, so the pass is
@@ -209,34 +203,21 @@ fn measure_workload(
     let mut lags = std::mem::take(&mut *sink.lags.lock());
     lags.sort_unstable();
 
-    for (mode, avg, lag_stats, speedup) in [
-        ("ladder-off", off_avg, None, 1.0),
-        ("ladder-on", on_avg, Some(&lags), off_avg / on_avg),
-    ] {
-        let (lag_p50, lag_p99, lag_max) = match lag_stats {
-            Some(lags) => (
-                percentile(lags, 50.0),
-                percentile(lags, 99.0),
-                lags.last().copied().unwrap_or(0),
-            ),
-            None => (0, 0, 0),
-        };
-        let row = CommitbenchMeasurement {
-            workload: name.to_string(),
-            mode: mode.to_string(),
-            threads,
-            blocks,
-            block_size: block.len(),
-            tps: block.len() as f64 / avg,
-            avg_block_ms: avg * 1_000.0,
-            lag_p50,
-            lag_p99,
-            lag_max,
-            speedup_vs_ladder_off: speedup,
-        };
-        println!("{}", row.tsv_row());
-        results.push(row);
-    }
+    let row = CommitbenchMeasurement {
+        workload: name.to_string(),
+        mode: "ladder".to_string(),
+        threads,
+        blocks,
+        block_size: block.len(),
+        tps: block.len() as f64 / avg,
+        avg_block_ms: avg * 1_000.0,
+        lag_p50: percentile(&lags, 50.0),
+        lag_p99: percentile(&lags, 99.0),
+        lag_max: lags.last().copied().unwrap_or(0),
+        speedup: 1.0,
+    };
+    println!("{}", row.tsv_row());
+    results.push(row);
 }
 
 fn main() {
@@ -249,14 +230,14 @@ fn main() {
     let block_size = if quick { 400 } else { 2_000 };
 
     println!(
-        "# commitbench: rolling commit ladder on vs off, {threads} threads, \
-         {blocks} blocks per mode, {block_size} txns per block"
+        "# commitbench: rolling commit ladder, {threads} threads, \
+         {blocks} blocks per row, {block_size} txns per block"
     );
     println!("{}", tsv_header());
     let mut results = Vec::new();
 
     // read-heavy: wide key universe, mostly reads, zero-work gas — pure engine
-    // overhead. The acceptance bar: ladder-on must not be slower here.
+    // overhead.
     let read_heavy = SyntheticWorkload {
         num_keys: 4 * block_size as u64,
         block_size,
@@ -314,8 +295,6 @@ fn main() {
     // + commit-time folding; every transaction executes exactly once); with
     // deltas off they are the classic read-modify-write chain, and every
     // incarnation that speculated past an in-flight writer re-burns its gas.
-    // CI bar: delta-on throughput must not fall below delta-off on this
-    // workload — the whole point of the aggregator machinery.
     let delta_block_size = if quick { 400 } else { 1_000 };
     let delta_blocks = if quick { 2 } else { 6 };
     let workload = DeltaHotspotWorkload::new(delta_block_size, 1).with_extra_gas(2_000);
@@ -349,7 +328,7 @@ fn main() {
             lag_p50: 0,
             lag_p99: 0,
             lag_max: 0,
-            speedup_vs_ladder_off: if use_deltas {
+            speedup: if use_deltas {
                 mode_tps[1] / mode_tps[0]
             } else {
                 1.0
@@ -358,37 +337,29 @@ fn main() {
         println!("{}", row.tsv_row());
         results.push(row);
     }
-    assert!(
-        mode_tps[1] >= mode_tps[0],
-        "delta-on ({:.0} tps) must beat delta-off ({:.0} tps) on the hot-aggregator workload",
-        mode_tps[1],
-        mode_tps[0]
-    );
 
     // chain mode: a long stream of small blocks, barrier-per-block vs one
     // chained dispatch. Small blocks make the boundary cost (park/unpark,
     // drain tail, cold restart) a visible fraction of the block time — the
-    // shape cross-block pipelining removes. Median-of-reps for 1-cpu CI
-    // robustness; the assert is the PR's acceptance bar.
+    // shape cross-block pipelining removes. Rows report the median rep.
     // Both modes keep the small-block shape: that is the regime this mode
-    // measures (boundary cost per block), and on the 1-cpu CI host it is also
-    // the regime where the comparison is meaningful — with large blocks the
-    // second worker's speculation cannot overlap with anything and the row
-    // would measure core oversubscription instead.
+    // measures (boundary cost per block), and on a small host it is also the
+    // regime where the comparison is meaningful — with large blocks the second
+    // worker's speculation cannot overlap with anything and the row would
+    // measure core oversubscription instead.
     let chain_stream_len = if quick { 60 } else { 150 };
     let chain_block_size = 50;
     // Reps are cheap at this scale (one rep is tens of milliseconds); a deep
-    // median keeps the acceptance assert below out of reach of scheduler
-    // jitter on the shared CI host.
+    // median keeps the row out of reach of scheduler jitter.
     let chain_reps = if quick { 9 } else { 11 };
     // Both shapes get the same worker count, so the rows compare boundary
     // cost (a pool dispatch per block vs one gate flip). The 2-thread floor
-    // matters on the 1-cpu CI host: with a single worker `WorkerPool::run`
+    // matters on a 1-cpu host: with a single worker `WorkerPool::run`
     // executes inline on the caller thread, the barrier baseline pays no
-    // dispatch at all, and the comparison degenerates to parity-under-noise
-    // (a strict `>=` assert then flips on clock jitter). At >= 2 workers the
-    // barrier pays a park/unpark cycle per block while the chain pays one
-    // per stream — the boundary cost this mode exists to measure.
+    // dispatch at all, and the comparison degenerates to parity-under-noise.
+    // At >= 2 workers the barrier pays a park/unpark cycle per block while
+    // the chain pays one per stream — the boundary cost this mode exists to
+    // measure.
     let chain_threads = std::thread::available_parallelism()
         .map(|n| n.get().clamp(2, 8))
         .unwrap_or(2);
@@ -495,14 +466,7 @@ fn main() {
         secs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         secs[secs.len() / 2]
     };
-    // Rows report the median rep (sustained throughput); the acceptance gate
-    // below compares the best rep of each shape. On the shared CI host noise
-    // is strictly subtractive — a descheduled quantum only ever slows a rep —
-    // so best-of-reps is the lowest-variance estimator of each shape's true
-    // throughput, and both shapes get the same treatment.
-    let best = |secs: &[f64]| -> f64 { secs.iter().copied().fold(f64::INFINITY, f64::min) };
-    let barrier_best_tps = total_txns as f64 / best(&barrier_secs);
-    let chained_best_tps = total_txns as f64 / best(&chained_secs);
+    // Rows report the median rep (sustained throughput).
     let barrier_wall = median(&mut barrier_secs);
     let chained_wall = median(&mut chained_secs);
     let barrier_tps = total_txns as f64 / barrier_wall;
@@ -536,16 +500,11 @@ fn main() {
             lag_p50,
             lag_p99,
             lag_max,
-            speedup_vs_ladder_off: speedup,
+            speedup,
         };
         println!("{}", row.tsv_row());
         results.push(row);
     }
-    assert!(
-        chained_best_tps >= barrier_best_tps,
-        "chained ({chained_best_tps:.0} tps) must sustain at least the barrier-per-block \
-         baseline ({barrier_best_tps:.0} tps) over {chain_stream_len} blocks"
-    );
 
     println!(
         "# json: {}",

@@ -9,15 +9,18 @@
 //!   far disk-resident base state is from RAM, and how much the cache wins
 //!   back.
 //! * `read` — the isolated base-read path: scanning every genesis key through
-//!   the cold store vs through a prefetched cache. Carries a CI bar: the
-//!   **prefetched cache must beat uncached reads** (it serves from RAM; the
+//!   the cold store vs through a prefetched cache (it serves from RAM; the
 //!   cold path pays a syscall per read).
 //! * `persist` — the commit write path: a stream of committed outputs driven
 //!   through [`SyncPersistSink`] (append + fsync inline per commit) vs
 //!   [`WriteBehindSink`] (batched frames on a background persister, one
-//!   durability barrier at the end). Carries the binary's main CI bar:
-//!   **write-behind throughput must be ≥ 1.5× the synchronous baseline** —
-//!   the whole point of taking fsync off the commit drain.
+//!   durability barrier at the end) — the point of taking fsync off the
+//!   commit drain.
+//!
+//! The `speedup` column carries both ratios (cached / cold, write-behind /
+//! sync). They are printed, not asserted: throughput regressions are judged by
+//! the repository benchmark (`benchmark/run.sh compare`), not by a single noisy
+//! run. Every durable count and the final persisted state are asserted.
 //!
 //! Run with `cargo run -p block-stm-bench --release --bin storagebench`.
 //! Set `BLOCK_STM_BENCH_QUICK=1` for a fast smoke-test grid. Baselines are
@@ -78,7 +81,7 @@ fn push_row(
     items: usize,
     elapsed: f64,
     speedup: f64,
-) -> f64 {
+) {
     let row = StoragebenchMeasurement {
         section: section.to_string(),
         mode: mode.to_string(),
@@ -89,9 +92,7 @@ fn push_row(
         speedup,
     };
     println!("{}", row.tsv_row());
-    let per_sec = row.per_sec;
     results.push(row);
-    per_sec
 }
 
 /// Average seconds per block over `blocks` runs (after one warm-up) on any
@@ -240,7 +241,7 @@ fn main() {
     }
     let cold_elapsed = start.elapsed().as_secs_f64();
     assert_eq!(present, reads, "every genesis key resolves");
-    let cold_reads_per_sec = push_row(
+    push_row(
         &mut results,
         "read",
         "logstore-cold",
@@ -264,7 +265,7 @@ fn main() {
     }
     let cached_elapsed = start.elapsed().as_secs_f64();
     assert_eq!(present, reads);
-    let cached_reads_per_sec = push_row(
+    push_row(
         &mut results,
         "read",
         "blockcache-prefetched",
@@ -272,11 +273,6 @@ fn main() {
         reads,
         cached_elapsed,
         cold_elapsed / cached_elapsed,
-    );
-    assert!(
-        cached_reads_per_sec > cold_reads_per_sec,
-        "prefetched cache reads ({cached_reads_per_sec:.0}/s) must beat uncached \
-         log store reads ({cold_reads_per_sec:.0}/s)"
     );
 
     // --- persist: the commit write path -------------------------------------
@@ -290,7 +286,7 @@ fn main() {
     let durable = sync_sink.flush().expect("sync flush");
     let sync_elapsed = start.elapsed().as_secs_f64();
     assert_eq!(durable, persist_events as u64);
-    let sync_per_sec = push_row(
+    push_row(
         &mut results,
         "persist",
         "sync",
@@ -307,7 +303,7 @@ fn main() {
     let durable = wb_sink.flush().expect("write-behind flush");
     let wb_elapsed = start.elapsed().as_secs_f64();
     assert_eq!(durable, persist_events as u64);
-    let wb_per_sec = push_row(
+    push_row(
         &mut results,
         "persist",
         "write-behind",
@@ -315,11 +311,6 @@ fn main() {
         persist_events,
         wb_elapsed,
         sync_elapsed / wb_elapsed,
-    );
-    assert!(
-        wb_per_sec >= 1.5 * sync_per_sec,
-        "write-behind ({wb_per_sec:.0} events/s) must be >= 1.5x the synchronous \
-         baseline ({sync_per_sec:.0} events/s)"
     );
 
     // Both write paths persisted identical final state.

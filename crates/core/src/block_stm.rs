@@ -20,7 +20,7 @@ use crate::output::BlockOutput;
 use crate::view::MVHashMapView;
 use block_stm_metrics::{ExecutionMetrics, MetricsSnapshot};
 use block_stm_mvmemory::{FrontierOverlay, LocationCache, MVMemory};
-use block_stm_scheduler::{Scheduler, SchedulerOptions, Task, TaskKind};
+use block_stm_scheduler::{Scheduler, Task, TaskKind};
 use block_stm_storage::Storage;
 use block_stm_sync::{Backoff, WorkerPool};
 use block_stm_vm::{
@@ -49,14 +49,13 @@ fn chain_commit_audit_enabled() -> bool {
 }
 use std::sync::Arc;
 
-/// Builder for [`BlockStm`]: the VM plus every tuning knob of [`ExecutorOptions`].
+/// Builder for [`BlockStm`]: the VM plus the [`ExecutorOptions`] and hooks.
 ///
 /// ```
 /// use block_stm::{BlockStmBuilder, Vm};
 ///
 /// let executor = BlockStmBuilder::new(Vm::for_testing())
 ///     .concurrency(4)
-///     .dependency_recheck(true)
 ///     .build();
 /// assert_eq!(executor.concurrency(), 4);
 /// ```
@@ -79,8 +78,8 @@ impl Debug for BlockStmBuilder {
 }
 
 impl BlockStmBuilder {
-    /// Starts a builder with default options (all optimizations on, one worker per
-    /// available core).
+    /// Starts a builder with default options (one worker per available core, hints
+    /// off).
     pub fn new(vm: Vm) -> Self {
         Self {
             vm,
@@ -90,45 +89,9 @@ impl BlockStmBuilder {
         }
     }
 
-    /// Starts a builder from a pre-assembled [`ExecutorOptions`].
-    pub fn from_options(vm: Vm, options: ExecutorOptions) -> Self {
-        Self {
-            vm,
-            options,
-            sinks: Vec::new(),
-            limiter: None,
-        }
-    }
-
     /// Sets the worker-thread count (`0` = one per available core, capped at 32).
     pub fn concurrency(mut self, concurrency: usize) -> Self {
         self.options.concurrency = concurrency;
-        self
-    }
-
-    /// Toggles the §4 dependency re-check before re-executing an aborted transaction.
-    pub fn dependency_recheck(mut self, enabled: bool) -> Self {
-        self.options.dependency_recheck = enabled;
-        self
-    }
-
-    /// Toggles the scheduler's task-return optimization (cases 1(b)/2(c)).
-    pub fn task_return_optimization(mut self, enabled: bool) -> Self {
-        self.options.task_return_optimization = enabled;
-        self
-    }
-
-    /// Toggles the scheduler's rolling commit ladder (on by default). Disabling it
-    /// restores the seed behavior — outputs materialize only when the whole block
-    /// settles — and is incompatible with streaming hooks.
-    pub fn rolling_commit(mut self, enabled: bool) -> Self {
-        self.options.rolling_commit = enabled;
-        self
-    }
-
-    /// Sets the multi-version memory shard count.
-    pub fn mvmemory_shards(mut self, shards: usize) -> Self {
-        self.options.mvmemory_shards = Some(shards);
         self
     }
 
@@ -214,10 +177,6 @@ impl BlockStmBuilder {
     /// and hooks, but driving a whole *stream* of blocks per dispatch — each
     /// block speculating against its predecessor's committed prefix through
     /// the cross-block frontier instead of waiting behind a per-block barrier.
-    /// Requires the rolling commit ladder (the default); a chain built with
-    /// `rolling_commit(false)` reports
-    /// [`ExecutionError::ChainRequiresRollingCommit`](crate::ExecutionError::ChainRequiresRollingCommit)
-    /// on use.
     pub fn build_chain(self) -> crate::ChainExecutor {
         let workers = self.options.effective_concurrency();
         crate::ChainExecutor {
@@ -296,8 +255,8 @@ impl BlockStm {
         BlockStmBuilder::new(vm)
     }
 
-    /// An executor with default options (all optimizations on, one worker per
-    /// available core).
+    /// An executor with default options (one worker per available core, hints
+    /// off).
     pub fn with_defaults(vm: Vm) -> Self {
         BlockStmBuilder::new(vm).build()
     }
@@ -355,9 +314,6 @@ impl BlockStm {
         let num_txns = block.len();
         let sinks = self.sinks.as_slice();
         let limiter = self.limiter.as_deref();
-        if (!sinks.is_empty() || limiter.is_some()) && !self.options.rolling_commit {
-            return Err(ExecutionError::HooksRequireRollingCommit);
-        }
         if num_txns == 0 {
             for sink in sinks {
                 sink.begin_block(0);
@@ -382,7 +338,7 @@ impl BlockStm {
         }
 
         let mut guard = self.state.lock();
-        let state = EngineState::<T::Key, T::Value>::prepare(&mut guard, &self.options, num_txns);
+        let state = EngineState::<T::Key, T::Value>::prepare(&mut guard, num_txns);
         state.metrics.record_block(num_txns);
         if self.hints_enabled.load(Ordering::Relaxed) {
             // Before any worker starts: park hinted transactions on their
@@ -443,15 +399,14 @@ impl BlockStm {
         let cut = drain.cut;
         let included = cut.unwrap_or(num_txns);
         debug_assert!(
-            !self.options.rolling_commit || cut.is_some() || drain.drained == num_txns,
-            "complete rolling block must have drained every commit"
+            cut.is_some() || drain.drained == num_txns,
+            "a complete block must have drained every commit"
         );
         // A limiter cut excludes transactions `cut..` entirely: the committed state
         // is the snapshot bounded below the cut, exactly a sequential execution of
         // the truncated block (higher transactions' speculative writes are filtered
-        // by the version bound). The storage base covers delta chains that were
-        // never folded (the rolling ladder folds committed chains, but with the
-        // ladder disabled resolution happens only here).
+        // by the version bound). The drain folded every committed delta chain, so
+        // the storage base only backs the resolution rule, never a live chain.
         let base_of = |key: &T::Key| storage.get(key).map(|value| value.to_aggregator());
         let updates = state
             .mvmemory
@@ -667,20 +622,11 @@ where
     K: Eq + Hash + Ord + Clone + Debug + Send + Sync + 'static,
     V: Clone + PartialEq + Debug + Send + Sync + AggregatorValue + 'static,
 {
-    pub(crate) fn new(num_txns: usize, options: &ExecutorOptions) -> Self {
+    pub(crate) fn new(num_txns: usize) -> Self {
         Self {
             metrics: ExecutionMetrics::new(),
-            mvmemory: match options.mvmemory_shards {
-                Some(shards) => MVMemory::with_shards(num_txns, shards),
-                None => MVMemory::new(num_txns),
-            },
-            scheduler: Scheduler::with_options(
-                num_txns,
-                SchedulerOptions {
-                    task_return_optimization: options.task_return_optimization,
-                    rolling_commit: options.rolling_commit,
-                },
-            ),
+            mvmemory: MVMemory::new(num_txns),
+            scheduler: Scheduler::new(num_txns),
             outputs: (0..num_txns).map(|_| Mutex::new(None)).collect(),
             commit_drain: Mutex::new(DrainState::default()),
             hints: None,
@@ -707,14 +653,10 @@ where
     /// slot, resetting it for `num_txns` transactions — or builds a fresh one on
     /// first use (or if the executor is suddenly driven with a different state
     /// model).
-    fn prepare<'a>(
-        slot: &'a mut Option<Box<dyn Any + Send>>,
-        options: &ExecutorOptions,
-        num_txns: usize,
-    ) -> &'a mut Self {
+    fn prepare(slot: &mut Option<Box<dyn Any + Send>>, num_txns: usize) -> &mut Self {
         let reusable = matches!(slot, Some(state) if state.is::<Self>());
         if !reusable {
-            *slot = Some(Box::new(Self::new(num_txns, options)));
+            *slot = Some(Box::new(Self::new(num_txns)));
         }
         let state = slot
             .as_mut()
@@ -789,7 +731,6 @@ where
         let cache = RefCell::new(LocationCache::new());
         let mut task: Option<Task> = None;
         let mut backoff = Backoff::new();
-        let rolling = self.options.rolling_commit;
         let mut drained_seen = 0usize;
         while !self.scheduler.done() {
             task = match task {
@@ -821,27 +762,23 @@ where
                     next
                 }
             };
-            if rolling {
-                // Opportunistic drain, gated on ladder movement: one lock-free
-                // watermark load per iteration, and a drain attempt only when the
-                // ladder advanced past what this worker last observed. The cursor
-                // advances only when the drain actually ran — a failed try_lock
-                // must not mark the new prefix as seen, or a commit landing just
-                // as the current drainer exits would sit undelivered until the
-                // next ladder movement.
-                let watermark = self.scheduler.committed_prefix();
-                if watermark > drained_seen {
-                    if let Some(drained) = self.drain_commits(false) {
-                        drained_seen = drained;
-                    }
+            // Opportunistic drain, gated on ladder movement: one lock-free
+            // watermark load per iteration, and a drain attempt only when the
+            // ladder advanced past what this worker last observed. The cursor
+            // advances only when the drain actually ran — a failed try_lock must
+            // not mark the new prefix as seen, or a commit landing just as the
+            // current drainer exits would sit undelivered until the next ladder
+            // movement.
+            let watermark = self.scheduler.committed_prefix();
+            if watermark > drained_seen {
+                if let Some(drained) = self.drain_commits(false) {
+                    drained_seen = drained;
                 }
             }
         }
-        if rolling {
-            // The block is done (or halted): drain whatever the ladder committed,
-            // waiting for the lock so nothing is left behind.
-            self.drain_commits(true);
-        }
+        // The block is done (or halted): drain whatever the ladder committed,
+        // waiting for the lock so nothing is left behind.
+        self.drain_commits(true);
         let stats = cache.borrow().stats();
         self.metrics
             .record_location_cache(stats.hits, stats.interner_hits, stats.interner_misses);
@@ -863,7 +800,6 @@ where
     pub(crate) fn run_stint(&self, budget: usize, abort: &AtomicBool) -> (bool, bool) {
         let cache = RefCell::new(LocationCache::new());
         let mut task: Option<Task> = None;
-        let rolling = self.options.rolling_commit;
         let mut drained_seen = 0usize;
         let mut progressed = false;
         let mut iterations = 0usize;
@@ -896,13 +832,11 @@ where
                 ) => self.needs_reexecution(validation),
                 None => unreachable!("loop invariant: a task is in hand here"),
             };
-            if rolling {
-                let watermark = self.scheduler.committed_prefix();
-                if watermark > drained_seen {
-                    if let Some(drained) = self.drain_commits(false) {
-                        progressed = progressed || drained > drained_seen;
-                        drained_seen = drained;
-                    }
+            let watermark = self.scheduler.committed_prefix();
+            if watermark > drained_seen {
+                if let Some(drained) = self.drain_commits(false) {
+                    progressed = progressed || drained > drained_seen;
+                    drained_seen = drained;
                 }
             }
         }
@@ -1121,7 +1055,7 @@ where
             // §4 mitigation: when the VM must restart from scratch, first check the
             // previous incarnation's read-set for unresolved dependencies; registering
             // one is much cheaper than a doomed re-execution.
-            if self.options.dependency_recheck && version.incarnation > 0 {
+            if version.incarnation > 0 {
                 if let Some((_, blocking_txn_idx)) =
                     self.mvmemory.first_estimate_in_prior_reads(txn_idx)
                 {
@@ -1409,24 +1343,24 @@ mod tests {
 
     #[test]
     fn options_ablations_still_match_sequential() {
+        // Every option setting changes the schedule only, never the output: hints
+        // on, an abort budget too large to trip, and both together.
         let storage = storage_with_keys(4);
         let block: Vec<_> = (0..80)
             .map(|i| SyntheticTransaction::transfer(i % 4, (i + 1) % 4, i))
             .collect();
         for builder in [
+            BlockStmBuilder::new(Vm::for_testing()).concurrency(4),
             BlockStmBuilder::new(Vm::for_testing())
                 .concurrency(4)
-                .dependency_recheck(false),
+                .use_hints(true),
             BlockStmBuilder::new(Vm::for_testing())
                 .concurrency(4)
-                .task_return_optimization(false),
+                .abort_fallback_threshold(u64::MAX),
             BlockStmBuilder::new(Vm::for_testing())
                 .concurrency(4)
-                .dependency_recheck(false)
-                .task_return_optimization(false),
-            BlockStmBuilder::new(Vm::for_testing())
-                .concurrency(4)
-                .mvmemory_shards(2),
+                .use_hints(true)
+                .abort_fallback_threshold(u64::MAX),
         ] {
             let parallel = builder.build();
             let sequential = SequentialExecutor::new(Vm::for_testing());
@@ -1734,37 +1668,18 @@ mod tests {
             }
             other => panic!("expected HookStateModelMismatch, got {other:?}"),
         }
-        // Hooks without the ladder are refused up front.
+        // The same mismatch on the limiter side.
         let limiter = Arc::new(crate::hooks::BlockGasLimit::new(10));
         let executor = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(2)
-            .rolling_commit(false)
             .block_limiter::<u64, u64>(limiter)
             .build();
-        let storage = storage_with_keys(2);
-        let block = vec![SyntheticTransaction::increment(0)];
-        match executor.execute_block(&block, &storage) {
-            Err(ExecutionError::HooksRequireRollingCommit) => {}
-            other => panic!("expected HooksRequireRollingCommit, got {other:?}"),
+        match executor.execute_block(&string_block, &string_storage) {
+            Err(ExecutionError::HookStateModelMismatch { hook }) => {
+                assert_eq!(hook, "BlockLimiter")
+            }
+            other => panic!("expected HookStateModelMismatch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn rolling_commit_disabled_still_matches_sequential() {
-        let storage = storage_with_keys(4);
-        let block: Vec<_> = (0..60)
-            .map(|i| SyntheticTransaction::transfer(i % 4, (i + 1) % 4, i))
-            .collect();
-        let ladder_off = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(4)
-            .rolling_commit(false)
-            .build();
-        let output = ladder_off.execute_block(&block, &storage).unwrap();
-        let expected = SequentialExecutor::new(Vm::for_testing())
-            .execute_block(&block, &storage)
-            .unwrap();
-        assert_eq!(output.updates, expected.updates);
-        assert_eq!(output.metrics.committed_txns, 0, "no ladder, no commits");
     }
 
     #[test]

@@ -159,16 +159,16 @@ where
     K: Eq + Hash + Ord + Clone + Debug + Send + Sync + 'static,
     V: Clone + PartialEq + Debug + Send + Sync + AggregatorValue + 'static,
 {
-    fn new(options: &ExecutorOptions) -> Self {
+    fn new() -> Self {
         Self {
             slots: [
                 RwLock::new(ChainSlot {
                     generation: usize::MAX,
-                    state: EngineState::new(0, options),
+                    state: EngineState::new(0),
                 }),
                 RwLock::new(ChainSlot {
                     generation: usize::MAX,
-                    state: EngineState::new(0, options),
+                    state: EngineState::new(0),
                 }),
             ],
             chain_metrics: ExecutionMetrics::new(),
@@ -177,13 +177,10 @@ where
 
     /// Fetches the arena for this `(K, V)` pair out of the type-erased slot —
     /// or builds a fresh one on first use / state-model change.
-    fn prepare<'a>(
-        slot: &'a mut Option<Box<dyn Any + Send>>,
-        options: &ExecutorOptions,
-    ) -> &'a mut Self {
+    fn prepare(slot: &mut Option<Box<dyn Any + Send>>) -> &mut Self {
         let reusable = matches!(slot, Some(state) if state.is::<Self>());
         if !reusable {
-            *slot = Some(Box::new(Self::new(options)));
+            *slot = Some(Box::new(Self::new()));
         }
         slot.as_mut()
             .and_then(|state| state.downcast_mut::<Self>())
@@ -386,8 +383,8 @@ impl<K, V> ChainControl<K, V> {
 ///
 /// Built once via [`BlockStmBuilder::build_chain`](crate::BlockStmBuilder::build_chain)
 /// and reused chain after chain (worker threads park between chains, the
-/// two-slot arena is reset in place). Requires the rolling commit ladder;
-/// attached [`CommitSink`](crate::CommitSink)s and the
+/// two-slot arena is reset in place). Attached
+/// [`CommitSink`](crate::CommitSink)s and the
 /// [`BlockLimiter`](crate::BlockLimiter) see blocks strictly in stream order.
 pub struct ChainExecutor {
     pub(crate) vm: Vm,
@@ -443,7 +440,7 @@ impl ChainExecutor {
         T: Transaction,
         S: Storage<T::Key, T::Value>,
     {
-        if blocks.is_empty() && self.options.rolling_commit {
+        if blocks.is_empty() {
             return Ok(ChainOutput {
                 blocks: Vec::new(),
                 updates: Vec::new(),
@@ -483,11 +480,8 @@ impl ChainExecutor {
         T: Transaction,
         S: Storage<T::Key, T::Value>,
     {
-        if !self.options.rolling_commit {
-            return Err(ExecutionError::ChainRequiresRollingCommit);
-        }
         let mut guard = self.state.lock();
-        let arena = ChainArena::<T::Key, T::Value>::prepare(&mut guard, &self.options);
+        let arena = ChainArena::<T::Key, T::Value>::prepare(&mut guard);
         arena.chain_metrics.reset();
         // Invalidate slot generations left over from a previous chain so a
         // stream whose first blocks arrive late can never alias them.
@@ -1036,19 +1030,6 @@ mod tests {
             .unwrap();
         assert_eq!(output.num_blocks(), 0);
         assert!(output.updates.is_empty());
-    }
-
-    #[test]
-    fn chain_requires_rolling_commit() {
-        let chain = BlockStmBuilder::new(Vm::for_testing())
-            .rolling_commit(false)
-            .build_chain();
-        let storage = storage_with_keys(1);
-        let blocks = vec![vec![SyntheticTransaction::increment(0)]];
-        assert!(matches!(
-            chain.execute_chain(&blocks, &storage),
-            Err(ExecutionError::ChainRequiresRollingCommit)
-        ));
     }
 
     #[test]

@@ -116,9 +116,8 @@
 //! # let _ = BlockGasLimit::new(1); // linked above for the doc narrative
 //! ```
 //!
-//! The ladder is on by default; `BlockStmBuilder::rolling_commit(false)` restores
-//! the batch-at-the-end behavior for ablation (the `commitbench` harness compares
-//! the two).
+//! The ladder is the engine's only completion mechanism: every block finishes by
+//! committing its last transaction, so there is no switch to turn streaming off.
 //!
 //! ## Chained execution: pipelining across blocks
 //!
@@ -179,8 +178,8 @@
 //!   metrics (plus the [`truncated_at`](BlockOutput::truncated_at) cut marker).
 //! * [`ExecutionError`] — typed failures (worker panic, misconfiguration, violated
 //!   invariants).
-//! * [`ExecutorOptions`] — thread count and the optional optimizations evaluated in
-//!   the ablation benchmarks (assembled fluently by [`BlockStmBuilder`]).
+//! * [`ExecutorOptions`] — thread count, hint-guided scheduling and the abort
+//!   budget (assembled fluently by [`BlockStmBuilder`]).
 //!
 //! The building blocks live in sibling crates: `block-stm-mvmemory` (Algorithm 2),
 //! `block-stm-scheduler` (Algorithms 4–5), `block-stm-vm` (transaction model and

@@ -25,10 +25,6 @@ pub struct ExecutionMetrics {
     dependency_races: PaddedAtomicU64,
     /// Engine-specific round counter (LiTM commit rounds; unused by Block-STM).
     rounds: PaddedAtomicU64,
-    /// Number of reads served from the multi-version map rather than storage.
-    mv_reads: PaddedAtomicU64,
-    /// Number of reads served from pre-block storage.
-    storage_reads: PaddedAtomicU64,
     /// Blocked-read spin iterations (Bohm baseline only).
     blocked_read_spins: PaddedAtomicU64,
     /// `Scheduler.next_task()` calls that returned no task (worker had to poll again).
@@ -44,7 +40,7 @@ pub struct ExecutionMetrics {
     /// Global location first touches: the access interned the location (shard write
     /// lock + cell allocation).
     mvmemory_interner_misses: PaddedAtomicU64,
-    /// Transactions committed by the rolling commit ladder (0 with the ladder off).
+    /// Transactions committed by the rolling commit ladder.
     committed_txns: PaddedAtomicU64,
     /// Sum over all commits of the commit lag — how many transactions the execution
     /// cursor had run ahead of the committing one (`execution_cursor - txn_idx`).
@@ -134,16 +130,6 @@ impl ExecutionMetrics {
     /// Records `n` engine rounds (used by the LiTM baseline).
     pub fn record_rounds(&self, n: u64) {
         self.rounds.add(n);
-    }
-
-    /// Records a read served by the multi-version data structure.
-    pub fn record_mv_read(&self) {
-        self.mv_reads.increment();
-    }
-
-    /// Records a read served from pre-block storage.
-    pub fn record_storage_read(&self) {
-        self.storage_reads.increment();
     }
 
     /// Records `n` spin iterations on a blocked read (Bohm baseline).
@@ -277,8 +263,6 @@ impl ExecutionMetrics {
             dependency_aborts: self.dependency_aborts.load(),
             dependency_races: self.dependency_races.load(),
             rounds: self.rounds.load(),
-            mv_reads: self.mv_reads.load(),
-            storage_reads: self.storage_reads.load(),
             blocked_read_spins: self.blocked_read_spins.load(),
             scheduler_polls: self.scheduler_polls.load(),
             scheduler_yields: self.scheduler_yields.load(),
@@ -318,8 +302,6 @@ impl ExecutionMetrics {
         self.dependency_aborts.reset();
         self.dependency_races.reset();
         self.rounds.reset();
-        self.mv_reads.reset();
-        self.storage_reads.reset();
         self.blocked_read_spins.reset();
         self.scheduler_polls.reset();
         self.scheduler_yields.reset();
@@ -360,8 +342,6 @@ mod tests {
         metrics.record_dependency_abort();
         metrics.record_dependency_race();
         metrics.record_rounds(2);
-        metrics.record_mv_read();
-        metrics.record_storage_read();
         metrics.record_blocked_read_spins(7);
         metrics.record_scheduler_poll();
         metrics.record_scheduler_yield();

@@ -22,10 +22,6 @@ pub struct MetricsSnapshot {
     pub dependency_races: u64,
     /// Engine-specific rounds (LiTM).
     pub rounds: u64,
-    /// Reads served from the multi-version map.
-    pub mv_reads: u64,
-    /// Reads served from pre-block storage.
-    pub storage_reads: u64,
     /// Spin iterations on blocked reads (Bohm).
     pub blocked_read_spins: u64,
     /// Empty-handed `next_task` polls by worker threads (Block-STM).
@@ -39,7 +35,7 @@ pub struct MetricsSnapshot {
     pub mvmemory_interner_hits: u64,
     /// Global location first touches (shard write lock + cell allocation).
     pub mvmemory_interner_misses: u64,
-    /// Transactions committed by the rolling commit ladder (0 with the ladder off).
+    /// Transactions committed by the rolling commit ladder.
     pub committed_txns: u64,
     /// Sum of per-commit lags (`execution_cursor - txn_idx` at commit-drain time).
     pub commit_lag_sum: u64,
@@ -167,8 +163,6 @@ impl MetricsSnapshot {
             dependency_aborts: self.dependency_aborts + other.dependency_aborts,
             dependency_races: self.dependency_races + other.dependency_races,
             rounds: self.rounds + other.rounds,
-            mv_reads: self.mv_reads + other.mv_reads,
-            storage_reads: self.storage_reads + other.storage_reads,
             blocked_read_spins: self.blocked_read_spins + other.blocked_read_spins,
             scheduler_polls: self.scheduler_polls + other.scheduler_polls,
             scheduler_yields: self.scheduler_yields + other.scheduler_yields,
@@ -216,8 +210,6 @@ mod tests {
             dependency_aborts: 5,
             dependency_races: 1,
             rounds: 0,
-            mv_reads: 400,
-            storage_reads: 1000,
             blocked_read_spins: 0,
             scheduler_polls: 3,
             scheduler_yields: 1,
@@ -271,7 +263,6 @@ mod tests {
         let merged = sample().merge(&sample());
         assert_eq!(merged.total_txns, 200);
         assert_eq!(merged.incarnations, 240);
-        assert_eq!(merged.storage_reads, 2000);
         assert_eq!(merged.mvmemory_cache_hits, 1800);
         assert_eq!(merged.mvmemory_interner_misses, 120);
         assert_eq!(merged.committed_txns, 200);

@@ -227,10 +227,6 @@ where
         }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.map.shard_count()
-    }
-
     /// Number of interned locations (== the next id to assign).
     pub fn len(&self) -> usize {
         self.next_id.load(Ordering::Relaxed) as usize

@@ -25,8 +25,8 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// Default shard count of the interner map (first-touch path only).
-const DEFAULT_INTERNER_SHARDS: usize = 256;
+/// Shard count of the interner map (first-touch path only).
+const INTERNER_SHARDS: usize = 256;
 
 /// Result of a speculative [`MVMemory::read`] on behalf of transaction `txn_idx`
 /// (mirrors the `OK` / `NOT_FOUND` / `READ_ERROR` statuses of the paper, plus the
@@ -192,14 +192,8 @@ where
 {
     /// Creates the multi-version memory for a block of `block_size` transactions.
     pub fn new(block_size: usize) -> Self {
-        Self::with_shards(block_size, DEFAULT_INTERNER_SHARDS)
-    }
-
-    /// Creates the memory with an explicit interner shard count (benchmark
-    /// ablations; shards only matter on location first touches).
-    pub fn with_shards(block_size: usize, shards: usize) -> Self {
         Self {
-            interner: Interner::new(shards),
+            interner: Interner::new(INTERNER_SHARDS),
             last_written_locations: (0..block_size).map(|_| RcuCell::new(Vec::new())).collect(),
             last_read_set: (0..block_size).map(|_| RcuCell::new(Vec::new())).collect(),
             committed_watermark: PaddedAtomicUsize::new(0),
@@ -232,11 +226,6 @@ where
     /// Number of transactions in the block this memory serves.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// Number of shards backing the interner (ablation introspection).
-    pub fn shard_count(&self) -> usize {
-        self.interner.shard_count()
     }
 
     /// Number of distinct locations interned so far.
@@ -1000,8 +989,8 @@ where
     }
 
     /// [`snapshot_prefix`](Self::snapshot_prefix) with a storage-base resolver
-    /// for delta chains that bottom out below the block (e.g. when the rolling
-    /// commit ladder — and with it commit-time delta folding — is disabled).
+    /// for delta chains that bottom out below the block (chains not yet folded
+    /// by [`materialize_deltas`](Self::materialize_deltas)).
     pub fn snapshot_prefix_with_base(
         &self,
         bound: usize,

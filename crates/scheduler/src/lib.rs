@@ -83,10 +83,10 @@
 //! the cursor swept from `D`'s target up through `k` and *claimed* index `k` at some
 //! wave `>= w`. If `k` was validatable at that claim, `max_triggered_wave >= w > w_V`
 //! contradicts 2. If it was not, `k`'s current incarnation finished executing only
-//! after that sweep passed, so its `finish_execution` saw the cursor above `k` and
-//! either stamped `required_wave >= w` (contradicting 2) or — with the task-return
-//! optimization off — lowered the cursor below `k` again, contradicting 3 (any
-//! later re-sweep re-enters the previous cases). Hence no such `D` exists, `w_V`
+//! after that sweep passed, so its `finish_execution` either saw the cursor above `k`
+//! and stamped `required_wave >= w` (contradicting 2), or saw it at or below `k` —
+//! lowered again by a later decrease — and the re-sweep that must then pass `k`
+//! re-enters the previous cases. Hence no such `D` exists, `w_V`
 //! certifies freshness against every invalidation, and since the ladder commits in
 //! index order, all lower transactions are already committed and can never create new
 //! invalidations: `k`'s reads equal the final committed state. ∎
@@ -95,10 +95,9 @@
 //! claiming until it passes the block, and every claim either produces a validation
 //! (whose completion raises `validated_wave` to the claim's wave) or proves the
 //! transaction is mid-transition (whose completion schedules a fresh validation); the
-//! ladder therefore always advances eventually. With the ladder disabled
-//! ([`SchedulerOptions::rolling_commit`]), completion falls back to the paper's
-//! double-collect (`check_done`, Theorem 1), which is retained (and cross-checked in
-//! tests) as [`Scheduler::cursors_exhausted`].
+//! ladder therefore always advances eventually. The ladder is the only completion
+//! mechanism: the paper's double collect (`decrease_cnt` plus `num_active_tasks`,
+//! Theorem 1) is not implemented, so no task pays for an active-task counter.
 //!
 //! # Chained execution: the commit gate and the cross-block frontier
 //!
@@ -207,6 +206,6 @@ mod scheduler;
 mod status;
 mod task;
 
-pub use scheduler::{Scheduler, SchedulerOptions};
+pub use scheduler::Scheduler;
 pub use status::TxnStatus;
 pub use task::{Task, TaskKind, Wave};

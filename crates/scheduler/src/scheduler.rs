@@ -40,33 +40,6 @@ impl StatusEntry {
     }
 }
 
-/// Configuration of a [`Scheduler`], applied at construction (or on
-/// [`Scheduler::reset`], which preserves it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulerOptions {
-    /// Allow `finish_execution` / `finish_validation` to hand the follow-up task
-    /// directly back to the calling thread instead of routing it through the shared
-    /// counters (the paper's cases 1(b)/2(c) optimization). Disabled only by the
-    /// ablation benchmarks. Default: `true`.
-    pub task_return_optimization: bool,
-    /// Run the rolling commit ladder: commit the lowest uncommitted transaction as
-    /// soon as it has a sufficiently fresh passing validation, exempt committed
-    /// transactions from re-validation, and derive block completion from
-    /// `committed_prefix() == block_size()` instead of the double-collect
-    /// `check_done`. Disabled only by ablation benchmarks (the `commitbench`
-    /// ladder-off rows). Default: `true`.
-    pub rolling_commit: bool,
-}
-
-impl Default for SchedulerOptions {
-    fn default() -> Self {
-        Self {
-            task_return_optimization: true,
-            rolling_commit: true,
-        }
-    }
-}
-
 /// Packs the validation cursor: low 32 bits index, high 32 bits wave.
 #[inline]
 const fn pack_cursor(idx: usize, wave: Wave) -> u64 {
@@ -97,15 +70,8 @@ pub struct Scheduler {
     /// ordered set `V`; the wave increments on every decrease, so a claimed
     /// validation task knows how fresh it is (commit ladder bookkeeping).
     validation_idx: CachePadded<AtomicU64>,
-    /// Incremented every time either index is decreased; lets the legacy
-    /// `check_done` double-collect detect concurrent decreases (Theorem 1). With the
-    /// commit ladder enabled this is diagnostic only.
-    decrease_cnt: PaddedAtomicUsize,
-    /// Number of in-flight execution/validation tasks (including claimed-but-not-yet
-    /// -materialized ones).
-    num_active_tasks: PaddedAtomicUsize,
-    /// Set once the block is complete (ladder reached `block_size`, or the legacy
-    /// double-collect fired, or the scheduler was halted).
+    /// Set once the block is complete (the ladder reached `block_size`) or the
+    /// scheduler was halted.
     done_marker: PaddedAtomicBool,
     /// Set by [`halt`](Self::halt): the block was cut short (worker panic or a
     /// `BlockLimiter` boundary) rather than run to completion.
@@ -128,10 +94,6 @@ pub struct Scheduler {
     txn_dependency: Vec<CachePadded<Mutex<Vec<TxnIndex>>>>,
     /// Per transaction: current incarnation number, status and wave bookkeeping.
     txn_status: Vec<CachePadded<Mutex<StatusEntry>>>,
-    /// See [`SchedulerOptions::task_return_optimization`].
-    task_return_optimization: bool,
-    /// See [`SchedulerOptions::rolling_commit`].
-    rolling_commit: bool,
     /// Hint-guided initial execution order: the execution counter dispenses
     /// *positions*, and `initial_order[pos]` is the transaction executed at
     /// position `pos` (`None` = identity, the paper's index order). Purely a
@@ -145,15 +107,8 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Creates a scheduler for a block of `block_size` transactions with default
-    /// options.
+    /// Creates a scheduler for a block of `block_size` transactions.
     pub fn new(block_size: usize) -> Self {
-        Self::with_options(block_size, SchedulerOptions::default())
-    }
-
-    /// Creates a scheduler for a block of `block_size` transactions with explicit
-    /// [`SchedulerOptions`].
-    pub fn with_options(block_size: usize, options: SchedulerOptions) -> Self {
         assert!(
             block_size < u32::MAX as usize,
             "block size must fit the packed validation cursor"
@@ -162,8 +117,6 @@ impl Scheduler {
             block_size,
             execution_idx: AtomicMinCounter::new(0),
             validation_idx: CachePadded::new(AtomicU64::new(pack_cursor(0, 0))),
-            decrease_cnt: PaddedAtomicUsize::new(0),
-            num_active_tasks: PaddedAtomicUsize::new(0),
             done_marker: PaddedAtomicBool::new(false),
             halted: PaddedAtomicBool::new(false),
             commit_gate_open: PaddedAtomicBool::new(true),
@@ -175,8 +128,6 @@ impl Scheduler {
             txn_status: (0..block_size)
                 .map(|_| CachePadded::new(Mutex::new(StatusEntry::initial())))
                 .collect(),
-            task_return_optimization: options.task_return_optimization,
-            rolling_commit: options.rolling_commit,
             initial_order: None,
             order_position: Vec::new(),
         }
@@ -184,7 +135,7 @@ impl Scheduler {
 
     /// Re-arms the scheduler for a new block of `block_size` transactions, reusing
     /// the per-transaction arrays (and their heap allocations) instead of building a
-    /// fresh scheduler. Options are preserved.
+    /// fresh scheduler.
     ///
     /// Requires `&mut self`: the borrow checker thereby proves no worker thread still
     /// holds a reference from the previous block.
@@ -196,8 +147,6 @@ impl Scheduler {
         self.block_size = block_size;
         self.execution_idx.store(0);
         *self.validation_idx.get_mut() = pack_cursor(0, 0);
-        self.decrease_cnt.store(0);
-        self.num_active_tasks.store(0);
         self.done_marker.store(false);
         self.halted.store(false);
         self.commit_gate_open.store(true);
@@ -349,7 +298,7 @@ impl Scheduler {
     /// [`trigger_full_revalidation`]: Self::trigger_full_revalidation
     pub fn set_commit_gate(&self, open: bool) {
         self.commit_gate_open.store(open);
-        if open && self.rolling_commit {
+        if open {
             self.advance_commit_ladder();
         }
     }
@@ -380,7 +329,7 @@ impl Scheduler {
     }
 
     /// `done()` (Line 101): whether the block is complete and threads may exit their
-    /// run loop. With the commit ladder enabled this is raised exactly when
+    /// run loop. Raised exactly when
     /// [`committed_prefix`](Self::committed_prefix) reaches
     /// [`block_size`](Self::block_size) (or on [`halt`](Self::halt)).
     pub fn done(&self) -> bool {
@@ -401,11 +350,6 @@ impl Scheduler {
     /// transaction indices.)
     pub fn execution_cursor(&self) -> usize {
         self.execution_idx.load().min(self.block_size)
-    }
-
-    /// Whether the rolling commit ladder is enabled.
-    pub fn rolling_commit_enabled(&self) -> bool {
-        self.rolling_commit
     }
 
     /// Current incarnation number of `txn_idx` (used by executors for bookkeeping and
@@ -461,7 +405,6 @@ impl Scheduler {
     /// hinted initial order (identity without one).
     fn decrease_execution_idx(&self, target_idx: TxnIndex) {
         self.execution_idx.decrease(self.position_of(target_idx));
-        self.decrease_cnt.increment();
     }
 
     /// `decrease_validation_idx` (Lines 103–105), wave-stamped: lowering the cursor
@@ -481,10 +424,7 @@ impl Scheduler {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
-                Ok(_) => {
-                    self.decrease_cnt.increment();
-                    return wave + 1;
-                }
+                Ok(_) => return wave + 1,
                 Err(observed) => current = observed,
             }
         }
@@ -495,34 +435,14 @@ impl Scheduler {
         unpack_cursor(self.validation_idx.load(Ordering::SeqCst))
     }
 
-    /// Completion check. With the commit ladder enabled, completion is *derived from
-    /// the ladder*: the block is done exactly when the committed prefix covers it,
-    /// so this simply attempts a ladder advance (which raises the done marker at the
-    /// end). With the ladder disabled, this is the paper's double-collect
-    /// (`check_done`, Lines 106–109).
+    /// `check_done` (Lines 106–109), derived from the commit ladder instead of the
+    /// paper's double collect: the block is done exactly when the committed prefix
+    /// covers it, so this simply attempts a ladder advance (which raises the done
+    /// marker at the end).
     fn check_done(&self) {
-        if self.done_marker.load() {
-            return;
-        }
-        if self.rolling_commit {
+        if !self.done_marker.load() {
             self.advance_commit_ladder();
-        } else if self.cursors_exhausted() {
-            self.done_marker.store(true);
         }
-    }
-
-    /// The legacy double-collect completion condition (Theorem 1): both cursors ran
-    /// past the block, no task is in flight, and no cursor was lowered between the
-    /// two collects. With the commit ladder enabled this is exposed for diagnostics
-    /// and the termination-agreement test only.
-    pub fn cursors_exhausted(&self) -> bool {
-        let observed_cnt = self.decrease_cnt.load();
-        let execution_idx = self.execution_idx.load();
-        let (validation_idx, _) = self.validation_cursor();
-        let active = self.num_active_tasks.load();
-        execution_idx.min(validation_idx) >= self.block_size
-            && active == 0
-            && observed_cnt == self.decrease_cnt.load()
     }
 
     /// The post-validation commit hook: advances the commit ladder while the lowest
@@ -541,7 +461,6 @@ impl Scheduler {
     /// See the crate docs for why 1–3 imply the incarnation's reads equal the final
     /// committed state (the safety argument).
     fn advance_commit_ladder(&self) {
-        debug_assert!(self.rolling_commit);
         let mut next = self.commit_cursor.lock();
         loop {
             if !self.commit_gate_open.load() {
@@ -582,11 +501,9 @@ impl Scheduler {
     }
 
     /// `try_incarnate` (Lines 110–117): claims the next incarnation of `txn_idx` for
-    /// execution if (and only if) the transaction is `READY_TO_EXECUTE`.
-    ///
-    /// Unlike the paper's pseudo-code, the active-task accounting on failure is done by
-    /// the callers, which keeps the increment/decrement pairs visible at a single
-    /// level of the call stack.
+    /// execution if (and only if) the transaction is `READY_TO_EXECUTE`. Unlike the
+    /// paper's pseudo-code there is no active-task count to maintain: completion
+    /// comes from the commit ladder, not from the double collect.
     fn try_incarnate(&self, txn_idx: TxnIndex) -> Option<Version> {
         if txn_idx < self.block_size {
             let mut entry = self.txn_status[txn_idx].lock();
@@ -604,15 +521,8 @@ impl Scheduler {
             self.check_done();
             return None;
         }
-        self.num_active_tasks.increment();
         let idx_to_execute = self.txn_at_position(self.execution_idx.fetch_and_increment());
-        match self.try_incarnate(idx_to_execute) {
-            Some(version) => Some(version),
-            None => {
-                self.num_active_tasks.decrement();
-                None
-            }
-        }
+        self.try_incarnate(idx_to_execute)
     }
 
     /// `next_version_to_validate` (Lines 125–136). Claims the next validatable
@@ -637,7 +547,6 @@ impl Scheduler {
             self.check_done();
             return None;
         }
-        self.num_active_tasks.increment();
         let mut current = self.validation_idx.load(Ordering::SeqCst);
         loop {
             let (idx_to_validate, wave) = unpack_cursor(current);
@@ -676,7 +585,6 @@ impl Scheduler {
                 }
             }
         }
-        self.num_active_tasks.decrement();
         None
     }
 
@@ -726,9 +634,6 @@ impl Scheduler {
             entry.status = TxnStatus::Aborting;
         }
         dependency_guard.push(txn_idx);
-        drop(dependency_guard);
-        // The execution task ended without producing an output.
-        self.num_active_tasks.decrement();
         true
     }
 
@@ -793,25 +698,22 @@ impl Scheduler {
         }
 
         let (validation_idx, current_wave) = self.validation_cursor();
-        if validation_idx > txn_idx {
-            // Higher transactions have already been (or are being) validated against a
-            // state that did not include this incarnation's writes.
-            if self.task_return_optimization {
-                let wave = if wrote_new_path {
-                    // Re-validate the whole suffix on a fresh wave; this
-                    // transaction itself is covered by the task handed back.
-                    self.decrease_validation_idx(txn_idx + 1)
-                } else {
-                    current_wave
-                };
-                self.txn_status[txn_idx].lock().required_wave = wave;
-                return Some(Task::validation(Version::new(txn_idx, incarnation), wave));
-            }
-            // Optimization disabled: route everything through the shared cursor.
-            self.decrease_validation_idx(txn_idx);
+        if validation_idx <= txn_idx {
+            // The cursor has yet to reach this transaction: its validation will be
+            // claimed through `next_task`.
+            return None;
         }
-        self.num_active_tasks.decrement();
-        None
+        // Higher transactions have already been (or are being) validated against a
+        // state that did not include this incarnation's writes.
+        let wave = if wrote_new_path {
+            // Re-validate the whole suffix on a fresh wave; this transaction itself
+            // is covered by the task handed back.
+            self.decrease_validation_idx(txn_idx + 1)
+        } else {
+            current_wave
+        };
+        self.txn_status[txn_idx].lock().required_wave = wave;
+        Some(Task::validation(Version::new(txn_idx, incarnation), wave))
     }
 
     /// `try_validation_abort` (Lines 176–181): claims the right to abort incarnation
@@ -844,13 +746,9 @@ impl Scheduler {
             self.set_ready_status(txn_idx);
             self.decrease_validation_idx(txn_idx + 1);
             if self.execution_idx.load() > self.position_of(txn_idx) {
-                if self.task_return_optimization {
-                    if let Some(version) = self.try_incarnate(txn_idx) {
-                        return Some(Task::execution(version));
-                    }
-                } else {
-                    self.decrease_execution_idx(txn_idx);
-                }
+                // The execution cursor already passed it: hand the re-execution
+                // straight back (the paper's case 2(c)).
+                return self.try_incarnate(txn_idx).map(Task::execution);
             }
         } else {
             let mut entry = self.txn_status[txn_idx].lock();
@@ -862,18 +760,12 @@ impl Scheduler {
                     Some(entry.validated_wave.map_or(wave, |prev| prev.max(wave)));
                 let at_commit_boundary = self.commit_watermark.load() == txn_idx;
                 drop(entry);
-                if self.rolling_commit && at_commit_boundary {
+                if at_commit_boundary {
                     self.advance_commit_ladder();
                 }
             }
         }
-        self.num_active_tasks.decrement();
         None
-    }
-
-    /// Test/diagnostic helper: number of in-flight tasks.
-    pub fn active_tasks(&self) -> usize {
-        self.num_active_tasks.load()
     }
 }
 
@@ -914,7 +806,6 @@ mod tests {
         assert_eq!(t0, Task::execution(Version::new(0, 0)));
         let t1 = claim(&scheduler);
         assert_eq!(t1, Task::execution(Version::new(1, 0)));
-        assert_eq!(scheduler.active_tasks(), 2);
     }
 
     #[test]
@@ -959,7 +850,6 @@ mod tests {
         }
         assert!(executed.iter().all(|&count| count == 1));
         assert!(validated.iter().all(|&count| count >= 1));
-        assert_eq!(scheduler.active_tasks(), 0);
         // The commit ladder committed the whole block, in order.
         assert_eq!(scheduler.committed_prefix(), n);
         for txn_idx in 0..n {
@@ -1359,66 +1249,6 @@ mod tests {
     }
 
     #[test]
-    fn without_task_return_optimization_still_completes() {
-        let n = 5;
-        let scheduler = Scheduler::with_options(
-            n,
-            SchedulerOptions {
-                task_return_optimization: false,
-                ..SchedulerOptions::default()
-            },
-        );
-        let mut executed = vec![0usize; n];
-        let mut steps = 0;
-        while !scheduler.done() {
-            steps += 1;
-            assert!(steps < 10_000);
-            let Some(task) = scheduler.next_task() else {
-                continue;
-            };
-            match task.kind {
-                TaskKind::Execution => {
-                    executed[task.version.txn_idx] += 1;
-                    let followup = scheduler.finish_execution(
-                        task.version.txn_idx,
-                        task.version.incarnation,
-                        false,
-                    );
-                    assert!(followup.is_none(), "optimization disabled: no direct tasks");
-                }
-                TaskKind::Validation => {
-                    let followup = pass_validation(&scheduler, task);
-                    assert!(followup.is_none());
-                }
-            }
-        }
-        assert!(executed.iter().all(|&count| count == 1));
-        assert_eq!(scheduler.committed_prefix(), n);
-    }
-
-    #[test]
-    fn rolling_commit_disabled_restores_double_collect_termination() {
-        let n = 6;
-        let scheduler = Scheduler::with_options(
-            n,
-            SchedulerOptions {
-                rolling_commit: false,
-                ..SchedulerOptions::default()
-            },
-        );
-        assert!(!scheduler.rolling_commit_enabled());
-        let executed = drive_to_completion(&scheduler);
-        assert!(executed.iter().all(|&count| count == 1));
-        // Without the ladder nothing commits; termination came from the legacy
-        // double-collect and every transaction parks at Validated.
-        assert_eq!(scheduler.committed_prefix(), 0);
-        assert!(scheduler.cursors_exhausted());
-        for txn_idx in 0..n {
-            assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Validated);
-        }
-    }
-
-    #[test]
     fn multithreaded_happy_path_executes_every_txn_exactly_once() {
         let n = 200;
         let scheduler = Arc::new(Scheduler::new(n));
@@ -1476,7 +1306,6 @@ mod tests {
         let executions = executions.lock();
         assert_eq!(executions.len(), n);
         assert!(executions.values().all(|&count| count == 1));
-        assert_eq!(scheduler.active_tasks(), 0);
         assert_eq!(scheduler.committed_prefix(), n);
     }
 
@@ -1593,21 +1422,36 @@ mod tests {
 
     #[test]
     fn check_done_and_commit_ladder_agree_on_termination() {
-        // Satellite: with the ladder on, the done marker must rise exactly when the
-        // committed prefix covers the block — and at that point the legacy
-        // double-collect condition holds as well (single-threaded, so no task can
-        // be in flight when the ladder finishes).
+        // The done marker rises exactly when the committed prefix covers the
+        // block: never before, and with every transaction committed and both
+        // cursors past the block once it has.
         for n in [1usize, 2, 5, 17] {
             let scheduler = Scheduler::new(n);
-            assert!(scheduler.rolling_commit_enabled(), "ladder is the default");
-            assert!(!scheduler.cursors_exhausted());
-            drive_to_completion(&scheduler);
-            assert!(scheduler.done());
+            let mut pending: Option<Task> = None;
+            let mut steps = 0;
+            while !scheduler.done() {
+                steps += 1;
+                assert!(steps < 10_000, "scheduler did not terminate (n = {n})");
+                assert!(scheduler.committed_prefix() < n, "done lags the ladder");
+                let Some(task) = pending.take().or_else(|| scheduler.next_task()) else {
+                    continue;
+                };
+                pending = match task.kind {
+                    TaskKind::Execution => scheduler.finish_execution(
+                        task.version.txn_idx,
+                        task.version.incarnation,
+                        true,
+                    ),
+                    TaskKind::Validation => pass_validation(&scheduler, task),
+                };
+            }
+            assert_eq!(pending, None, "no task outlives the block (n = {n})");
             assert_eq!(scheduler.committed_prefix(), n);
-            assert!(
-                scheduler.cursors_exhausted(),
-                "ladder termination implies the double-collect condition (n = {n})"
-            );
+            assert_eq!(scheduler.execution_cursor(), n);
+            assert!(scheduler.validation_cursor().0 >= n);
+            for txn_idx in 0..n {
+                assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Committed);
+            }
             assert!(!scheduler.halted());
         }
     }
@@ -1623,7 +1467,7 @@ mod tests {
         // Same size: statuses, cursors, commit ladder and the done marker all re-arm.
         scheduler.reset(3);
         assert!(!scheduler.done());
-        assert_eq!(scheduler.active_tasks(), 0);
+        assert_eq!(scheduler.execution_cursor(), 0);
         assert_eq!(scheduler.committed_prefix(), 0);
         for txn_idx in 0..3 {
             assert_eq!(scheduler.status_of(txn_idx), TxnStatus::ReadyToExecute);
@@ -1640,28 +1484,6 @@ mod tests {
         scheduler.reset(1);
         assert_eq!(scheduler.block_size(), 1);
         assert_eq!(drive_to_completion(&scheduler), vec![1]);
-    }
-
-    #[test]
-    fn reset_preserves_options() {
-        let mut scheduler = Scheduler::with_options(
-            2,
-            SchedulerOptions {
-                task_return_optimization: false,
-                ..SchedulerOptions::default()
-            },
-        );
-        scheduler.reset(2);
-        // With the optimization disabled, a failed validation never hands the
-        // re-execution straight back.
-        let executions: Vec<Task> = (0..2).map(|_| claim(&scheduler)).collect();
-        for task in &executions {
-            scheduler.finish_execution(task.version.txn_idx, 0, true);
-        }
-        let v0 = claim(&scheduler);
-        assert_eq!(v0.version, Version::new(0, 0));
-        assert!(scheduler.try_validation_abort(0, 0));
-        assert_eq!(scheduler.finish_validation(0, 0, v0.wave, true), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cache-line padding to avoid false sharing.
 //!
-//! The Block-STM scheduler keeps several very hot atomic counters (`execution_idx`,
-//! `validation_idx`, `decrease_cnt`, `num_active_tasks`) that are updated by every
+//! The Block-STM scheduler keeps several very hot atomics (`execution_idx`,
+//! `validation_idx`, the commit watermark and done marker) that are touched by every
 //! worker thread. Placing them on the same cache line would serialize those updates
 //! through cache-coherence traffic; the paper explicitly mentions using "the standard
 //! cache padding technique to mitigate false sharing" (§4). [`CachePadded`] aligns its
@@ -59,10 +59,9 @@ impl<T: Clone> Clone for CachePadded<T> {
 
 /// A cache-padded `AtomicUsize` with convenience accessors.
 ///
-/// All operations use [`Ordering::SeqCst`]: the scheduler's completion detection
-/// (`check_done`, Theorem 1 in the paper) relies on a double-collect over several
-/// counters and is much easier to reason about under sequential consistency. The cost
-/// is negligible relative to transaction execution.
+/// All operations use [`Ordering::SeqCst`]: the scheduler's commit-ladder safety
+/// argument is stated under sequential consistency, which keeps it easy to check.
+/// The cost is negligible relative to transaction execution.
 #[derive(Default, Debug)]
 pub struct PaddedAtomicUsize {
     inner: CachePadded<AtomicUsize>,
@@ -95,7 +94,7 @@ impl PaddedAtomicUsize {
     ///
     /// # Panics
     /// Panics in debug builds if the counter would underflow (this indicates a
-    /// scheduler accounting bug, e.g. decrementing `num_active_tasks` twice).
+    /// counter accounting bug, e.g. decrementing the same count twice).
     pub fn fetch_sub(&self, delta: usize) -> usize {
         let prev = self.inner.fetch_sub(delta, Ordering::SeqCst);
         debug_assert!(prev >= delta, "atomic counter underflow: {prev} - {delta}");

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Records a benchmark baseline for one of the bench binaries (default: fig3).
 #
-# Usage: scripts/record-baseline.sh [fig3|...|fig8|ablation_report|mvbench|commitbench|accountbench|storagebench|adaptivebench|soakbench] [tag]
+# Usage: scripts/record-baseline.sh [fig3|...|fig8|reuse|mvbench|commitbench|accountbench|storagebench|adaptivebench|soakbench] [tag]
 #
 # Output convention (committed so future PRs have a perf trajectory):
 #   bench-results/<bin>/<YYYY-MM-DD>-<tag>.tsv   — the TSV rows the binary prints

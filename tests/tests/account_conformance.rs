@@ -4,8 +4,7 @@
 //! monotonicity, exact fee routing) that hold even if every engine shared a
 //! bug.
 //!
-//! The battery runs Block-STM with the rolling commit ladder on and off at
-//! 1–8 threads, the sequential baseline, Bohm (on delta-free blocks), the
+//! The battery runs Block-STM at 1–8 threads, the sequential baseline, Bohm (on delta-free blocks), the
 //! adaptive dispatcher (organic plus every decision path forced via builder
 //! knobs, including the mid-block sequential fallback) and LiTM (checked for
 //! thread-count determinism and oracle compliance on its own serialization,
@@ -53,25 +52,14 @@ fn conformance_battery<T: AccountTransaction>(
 
     let mut litm_reference: Option<Vec<(AccessPath, StateValue)>> = None;
     for threads in [1usize, 2, 4, 8] {
-        let mut engines: NamedEngines<T> = vec![
-            (
-                "block-stm(ladder)",
-                Box::new(
-                    BlockStmBuilder::new(Vm::for_testing())
-                        .concurrency(threads)
-                        .build(),
-                ),
+        let mut engines: NamedEngines<T> = vec![(
+            "block-stm",
+            Box::new(
+                BlockStmBuilder::new(Vm::for_testing())
+                    .concurrency(threads)
+                    .build(),
             ),
-            (
-                "block-stm(no-ladder)",
-                Box::new(
-                    BlockStmBuilder::new(Vm::for_testing())
-                        .concurrency(threads)
-                        .rolling_commit(false)
-                        .build(),
-                ),
-            ),
-        ];
+        )];
         if include_bohm {
             engines.push((
                 "bohm",
@@ -330,8 +318,7 @@ proptest! {
             .map_err(|violation| TestCaseError::fail(format!("sequential: {violation}")))?;
 
         let mut engines: NamedEngines<_> = vec![
-            ("ladder-on", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).build())),
-            ("ladder-off", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).rolling_commit(false).build())),
+            ("block-stm", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).build())),
         ];
         if rmw_fees {
             engines.push(("bohm", Box::new(BohmExecutor::new(Vm::for_testing(), threads))));
@@ -392,8 +379,7 @@ proptest! {
             .map_err(|violation| TestCaseError::fail(format!("sequential: {violation}")))?;
 
         let mut engines: NamedEngines<_> = vec![
-            ("ladder-on", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).build())),
-            ("ladder-off", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).rolling_commit(false).build())),
+            ("block-stm", Box::new(BlockStmBuilder::new(Vm::for_testing()).concurrency(threads).build())),
         ];
         if rmw_fees {
             engines.push(("bohm", Box::new(BohmExecutor::new(Vm::for_testing(), threads))));

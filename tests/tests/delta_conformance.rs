@@ -3,9 +3,9 @@
 //! Proptest generates blocks mixing full writes, deltas, value reads of
 //! aggregators, deterministic aborts, and delta applications near the
 //! aggregator bounds (so overflow aborts actually happen). Every block is
-//! executed by Block-STM with the rolling commit ladder **on and off**, at 1–8
-//! worker threads, and must match the sequential engine **byte-for-byte**:
-//! the committed state, each transaction's write-set, delta-set and abort code.
+//! executed by Block-STM at 1–8 worker threads, and must match the sequential
+//! engine **byte-for-byte**: the committed state, each transaction's write-set,
+//! delta-set and abort code.
 //!
 //! Directed tests pin down the headline properties on top: a single hot
 //! aggregator commits with zero aggregator-induced aborts (the tentpole's
@@ -74,8 +74,8 @@ fn arb_txn() -> impl Strategy<Value = SyntheticTransaction> {
         })
 }
 
-/// Runs `block` on delta-aware Block-STM (ladder on and off) at `threads`
-/// workers and asserts byte-for-byte equality with the sequential oracle.
+/// Runs `block` on delta-aware Block-STM at `threads` workers and asserts
+/// byte-for-byte equality with the sequential oracle.
 fn assert_conforms(
     block: &[SyntheticTransaction],
     storage: &InMemoryStorage<u64, u64>,
@@ -84,22 +84,16 @@ fn assert_conforms(
     let oracle = SequentialExecutor::new(Vm::for_testing())
         .execute_block(block, storage)
         .unwrap();
-    for rolling_commit in [true, false] {
-        let engine = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(threads)
-            .rolling_commit(rolling_commit)
-            .build();
-        let output = engine.execute_block(block, storage).unwrap();
-        prop_assert_eq!(
-            (&output.updates, threads, rolling_commit),
-            (&oracle.updates, threads, rolling_commit)
-        );
-        prop_assert_eq!(output.outputs.len(), oracle.outputs.len());
-        for (idx, (p, s)) in output.outputs.iter().zip(oracle.outputs.iter()).enumerate() {
-            prop_assert_eq!((idx, &p.writes), (idx, &s.writes));
-            prop_assert_eq!((idx, &p.deltas), (idx, &s.deltas));
-            prop_assert_eq!((idx, p.abort_code), (idx, s.abort_code));
-        }
+    let engine = BlockStmBuilder::new(Vm::for_testing())
+        .concurrency(threads)
+        .build();
+    let output = engine.execute_block(block, storage).unwrap();
+    prop_assert_eq!((&output.updates, threads), (&oracle.updates, threads));
+    prop_assert_eq!(output.outputs.len(), oracle.outputs.len());
+    for (idx, (p, s)) in output.outputs.iter().zip(oracle.outputs.iter()).enumerate() {
+        prop_assert_eq!((idx, &p.writes), (idx, &s.writes));
+        prop_assert_eq!((idx, &p.deltas), (idx, &s.deltas));
+        prop_assert_eq!((idx, p.abort_code), (idx, s.abort_code));
     }
     Ok(())
 }
@@ -179,24 +173,6 @@ fn single_hot_aggregator_commits_with_zero_aborts() {
         assert_eq!(m.committed_txns, 300);
         // The delta metrics are live.
         assert_eq!(m.delta_writes, 300, "{threads} threads");
-
-        // With the ladder off nothing ever materializes, so every probe above
-        // txn 0 must lazily walk the delta chain below it: the resolution
-        // metrics are guaranteed non-zero (ladder-on folds chains as fast as
-        // it commits, so a single-threaded run may legitimately never see one).
-        let ladder_off = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(threads)
-            .rolling_commit(false)
-            .build();
-        let output = ladder_off.execute_block(&block, &storage).unwrap();
-        assert_eq!(output.updates, oracle.updates);
-        let m = &output.metrics;
-        assert_eq!(m.validation_failures, 0, "{threads} threads, ladder off");
-        assert!(
-            m.delta_resolutions > 0,
-            "{threads} threads: unfolded chains must resolve lazily"
-        );
-        assert!(m.delta_chain_len_max > 0, "{threads} threads");
     }
 }
 

@@ -18,10 +18,8 @@ use block_stm_workloads::{P2pWorkload, SyntheticWorkload};
 type Storage = InMemoryStorage<u64, u64>;
 type Engine = Box<dyn BlockExecutor<SyntheticTransaction, Storage>>;
 
-/// Every engine in the workspace, configured for `threads` workers. Block-STM runs
-/// twice: with the rolling commit ladder (the default) and with the ladder disabled
-/// (the `commitbench` ablation) — both must match the sequential oracle. The
-/// adaptive dispatcher runs five ways: deciding organically, forced down each of
+/// Every engine in the workspace, configured for `threads` workers. The adaptive
+/// dispatcher runs five ways: deciding organically, forced down each of
 /// its three engine paths, and forced hinted with a zero abort budget so the
 /// mid-block sequential fallback fires whenever the block conflicts at all.
 fn engines(threads: usize) -> Vec<Engine> {
@@ -29,12 +27,6 @@ fn engines(threads: usize) -> Vec<Engine> {
         Box::new(
             BlockStmBuilder::new(Vm::for_testing())
                 .concurrency(threads)
-                .build(),
-        ),
-        Box::new(
-            BlockStmBuilder::new(Vm::for_testing())
-                .concurrency(threads)
-                .rolling_commit(false)
                 .build(),
         ),
         Box::new(SequentialExecutor::new(Vm::for_testing())),
@@ -168,7 +160,6 @@ fn engine_names_and_order_contract_are_stable() {
         names,
         vec![
             "block-stm",
-            "block-stm",
             "sequential",
             "bohm",
             "litm",
@@ -185,7 +176,7 @@ fn engine_names_and_order_contract_are_stable() {
         .collect();
     assert_eq!(
         order,
-        vec![true, true, true, true, false, true, true, true, true, true]
+        vec![true, true, true, false, true, true, true, true, true]
     );
 }
 

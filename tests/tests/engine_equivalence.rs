@@ -110,20 +110,19 @@ fn executor_option_ablations_preserve_correctness() {
     let sequential = SequentialExecutor::new(Vm::for_testing())
         .execute_block(&block, &storage)
         .unwrap();
+    // The remaining options steer scheduling only: hints on, and an abort
+    // budget too large to trip, alone and together.
     for builder in [
         BlockStmBuilder::new(Vm::for_testing())
             .concurrency(8)
-            .dependency_recheck(false),
+            .use_hints(true),
         BlockStmBuilder::new(Vm::for_testing())
             .concurrency(8)
-            .task_return_optimization(false),
+            .abort_fallback_threshold(u64::MAX),
         BlockStmBuilder::new(Vm::for_testing())
             .concurrency(8)
-            .dependency_recheck(false)
-            .task_return_optimization(false),
-        BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(8)
-            .mvmemory_shards(4),
+            .use_hints(true)
+            .abort_fallback_threshold(u64::MAX),
     ] {
         let parallel = builder.build().execute_block(&block, &storage).unwrap();
         assert_eq!(parallel.updates, sequential.updates);

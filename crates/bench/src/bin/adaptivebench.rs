@@ -1,20 +1,14 @@
 //! Adaptive-dispatch benchmark: the {conflict rate × txn cost × hint accuracy}
-//! grid, each row executed by all four engine shapes — sequential, plain
-//! Block-STM, hinted Block-STM and the per-block [`AdaptiveExecutor`] — over
-//! identical hinted blocks.
+//! grid, each row executed by all three engine shapes — sequential, Block-STM
+//! and the per-block [`AdaptiveExecutor`] — over identical hinted blocks.
 //!
 //! Each row prints the adaptive executor's throughput against the best and the
 //! worst single engine (its decision inputs are exactly the row knobs: declared
-//! conflicts, block length, hint coverage, last-block abort feedback), and the
-//! run ends with the grid's worst adaptive / best ratio and its most polarized
-//! row. Those ratios are printed, not asserted: throughput regressions are
-//! judged by the repository benchmark (`benchmark/run.sh compare`), not by a
-//! single noisy run.
-//!
-//! One bar is asserted because it counts work instead of timing it: on a
-//! high-conflict exact-hint chain at 2 workers, hinted Block-STM must finish
-//! with strictly fewer failed validations plus incarnations than unhinted
-//! Block-STM (pre-registered dependencies replace doomed speculation).
+//! conflicts — which the hint accuracy distorts — block length and last-block
+//! abort feedback), and the run ends with the grid's worst adaptive / best
+//! ratio and its most polarized row. Those ratios are printed, not asserted:
+//! throughput regressions are judged by the repository benchmark
+//! (`benchmark/run.sh compare`), not by a single noisy run.
 //!
 //! Every row's committed output is checked against the sequential oracle —
 //! a fast wrong answer fails loudly.
@@ -25,7 +19,7 @@
 
 use block_stm::{
     AdaptiveExecutor, BlockExecutor, BlockStmBuilder, GasSchedule, HintedTransaction,
-    SequentialExecutor, Transaction, Vm,
+    SequentialExecutor, Vm,
 };
 use block_stm_bench::quick_mode;
 use block_stm_storage::InMemoryStorage;
@@ -51,21 +45,19 @@ struct AdaptivebenchMeasurement {
     engine_choice: u64,
     incarnations: u64,
     validation_failures: u64,
-    hint_preregistered_deps: u64,
-    hints_skipped_validations: u64,
     adaptive_fallbacks: u64,
 }
 
 fn tsv_header() -> &'static str {
     "conflict\textra_gas\thint_accuracy_pct\tengine\tthreads\tblocks\tblock_size\ttps\
      \tmin_block_ms\tengine_choice\tincarnations\tvalidation_failures\
-     \thint_preregistered_deps\thints_skipped_validations\tadaptive_fallbacks"
+     \tadaptive_fallbacks"
 }
 
 impl AdaptivebenchMeasurement {
     fn tsv_row(&self) -> String {
         format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.0}\t{:.3}\t{}\t{}\t{}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.0}\t{:.3}\t{}\t{}\t{}\t{}",
             self.conflict,
             self.extra_gas,
             self.hint_accuracy_pct,
@@ -78,8 +70,6 @@ impl AdaptivebenchMeasurement {
             self.engine_choice,
             self.incarnations,
             self.validation_failures,
-            self.hint_preregistered_deps,
-            self.hints_skipped_validations,
             self.adaptive_fallbacks,
         )
     }
@@ -135,20 +125,15 @@ fn run_row(
     let parallel = BlockStmBuilder::new(Vm::new(gas))
         .concurrency(threads)
         .build();
-    let hinted = BlockStmBuilder::new(Vm::new(gas))
-        .concurrency(threads)
-        .use_hints(true)
-        .build();
     // One worker per core: on a 1-CPU host the adaptive executor correctly
     // refuses to timeshare speculation and dispatches sequentially.
     let adaptive = AdaptiveExecutor::builder(Vm::new(gas))
         .abort_fallback_threshold(4 * block_size as u64)
         .build();
 
-    let engines: [(&str, &dyn BlockExecutor<HintedTxn, Store>); 4] = [
+    let engines: [(&str, &dyn BlockExecutor<HintedTxn, Store>); 3] = [
         ("sequential", &sequential),
         ("parallel", &parallel),
-        ("hinted", &hinted),
         ("adaptive", &adaptive),
     ];
 
@@ -156,12 +141,12 @@ fn run_row(
     // then time the engines in **interleaved rounds** and keep each engine's
     // fastest block: a noisy neighbor on the CI host can only slow a run down,
     // so the per-engine minimum is the robust capability estimate, and the
-    // interleaving spreads any sustained load spike across all four engines
+    // interleaving spreads any sustained load spike across all three engines
     // instead of burying one engine's whole sample window under it.
     for (_, engine) in engines {
         engine.execute_block(&block, &storage).expect("warm-up");
     }
-    let mut fastest = [f64::INFINITY; 4];
+    let mut fastest = [f64::INFINITY; 3];
     for _ in 0..blocks {
         for (slot, (_, engine)) in engines.iter().enumerate() {
             fastest[slot] = fastest[slot].min(timed_block(*engine, &block, &storage));
@@ -208,8 +193,6 @@ fn run_row(
             engine_choice: metrics.adaptive_engine_choice,
             incarnations: metrics.incarnations,
             validation_failures: metrics.validation_failures,
-            hint_preregistered_deps: metrics.hint_preregistered_deps,
-            hints_skipped_validations: metrics.hints_skipped_validations,
             adaptive_fallbacks: metrics.adaptive_fallbacks,
         };
         println!("{}", row.tsv_row());
@@ -221,63 +204,6 @@ fn run_row(
         worst_single_engine,
         adaptive_tps,
     }
-}
-
-/// The high-conflict exact-hint bar: a read-modify-write chain on one key at
-/// 2 workers. Hinted dispatch pre-registers every link of the chain, so each
-/// transaction executes once and validates cleanly; unhinted speculation pays
-/// for the same block with aborted incarnations. Compared via the metrics
-/// counters (failed validations + incarnations), not wall clock.
-fn run_hint_metrics_bar(chain_len: usize, blocks: usize) {
-    let gas = GasSchedule::benchmark();
-    let inner: Vec<SyntheticTransaction> = (0..chain_len)
-        .map(|_| SyntheticTransaction::increment(0).with_extra_gas(1_000))
-        .collect();
-    let exact: Vec<HintedTxn> = inner
-        .iter()
-        .map(|txn| HintedTransaction::new(txn.clone(), txn.access_hints()))
-        .collect();
-    let unhinted: Vec<HintedTxn> = inner
-        .iter()
-        .map(|txn| HintedTransaction::unhinted(txn.clone()))
-        .collect();
-    let storage: Store = [(0u64, 0u64)].into_iter().collect();
-
-    let hinted_engine = BlockStmBuilder::new(Vm::new(gas))
-        .concurrency(2)
-        .use_hints(true)
-        .build();
-    let plain_engine = BlockStmBuilder::new(Vm::new(gas)).concurrency(2).build();
-
-    let mut hinted_total = 0u64;
-    let mut unhinted_total = 0u64;
-    let mut preregistered = 0u64;
-    for _ in 0..blocks {
-        let h = hinted_engine
-            .execute_block(&exact, &storage)
-            .expect("hinted");
-        let u = plain_engine
-            .execute_block(&unhinted, &storage)
-            .expect("unhinted");
-        assert_eq!(h.updates, u.updates, "hint chain diverged");
-        assert_eq!(
-            h.metrics.validation_failures, 0,
-            "a fully pre-registered chain must validate cleanly"
-        );
-        hinted_total += h.metrics.validation_failures + h.metrics.incarnations;
-        unhinted_total += u.metrics.validation_failures + u.metrics.incarnations;
-        preregistered += h.metrics.hint_preregistered_deps;
-    }
-    println!(
-        "# hint-metrics bar: chain={chain_len} x {blocks} blocks @ 2 workers — hinted \
-         failed+incarnations={hinted_total} (preregistered={preregistered}), \
-         unhinted={unhinted_total}"
-    );
-    assert!(
-        hinted_total < unhinted_total,
-        "hinted Block-STM must do strictly less abort work than unhinted on the \
-         high-conflict exact-hint chain: hinted={hinted_total} unhinted={unhinted_total}"
-    );
 }
 
 fn main() {
@@ -344,8 +270,6 @@ fn main() {
          {} at {:.0} tps, adaptive {:.0} tps)",
         outcome.worst_single_engine, outcome.worst_single_tps, outcome.adaptive_tps
     );
-
-    run_hint_metrics_bar(if quick { 200 } else { 400 }, if quick { 3 } else { 6 });
 
     println!(
         "# json: {}",

@@ -1,31 +1,29 @@
 //! Per-block adaptive engine selection.
 //!
 //! Not every block benefits from optimistic parallelism: a tiny block pays more
-//! in dispatch than it wins back, a hot-key block collapses to sequential speed
-//! with extra abort work on top, and a well-hinted block can do strictly better
-//! than blind speculation. [`AdaptiveExecutor`] picks an engine **per block**
-//! from cheap pre-execution signals, and keeps a mid-block escape hatch: if the
-//! parallel attempt crosses its abort budget it is halted and the block is
-//! re-run sequentially, so the worst case is bounded near sequential cost.
+//! in dispatch than it wins back, and a hot-key block collapses to sequential
+//! speed with extra abort work on top. [`AdaptiveExecutor`] picks an engine
+//! **per block** from cheap pre-execution signals, and keeps a mid-block escape
+//! hatch: if the parallel attempt crosses its abort budget it is halted and the
+//! block is re-run sequentially, so the worst case is bounded near sequential
+//! cost.
 //!
-//! The three ways a block can go:
+//! The two ways a block can go:
 //!
 //! * **sequential** — the [`SequentialExecutor`] baseline;
-//! * **parallel** — plain Block-STM speculation;
-//! * **hinted** — Block-STM with hint-guided scheduling
-//!   ([`BlockStmBuilder::use_hints`]): pre-registered dependencies, a
-//!   low-conflict-first initial order, and (for fully exact hints) validation
-//!   descriptors skipped for hint-proven private reads.
+//! * **parallel** — Block-STM speculation on a persistent [`BlockStm`] pool.
 //!
-//! Parallel and hinted dispatch share **one** persistent worker pool — the
-//! choice flips [`BlockStm::set_hints_enabled`] instead of keeping two engines
-//! warm.
+//! The decision, in order: a forced choice; else a tiny block or a single
+//! worker runs sequentially; else a declared conflict estimate at or above the
+//! threshold runs sequentially; else a last-block abort rate at or above the
+//! feedback threshold runs sequentially; else the block runs in parallel.
 //!
 //! The decision inputs are deliberately cheap (one pass over the block's
-//! declared [`AccessHints`], no execution): hint coverage, the declared-overlap
-//! conflict estimate, the block length, and the previous block's observed abort
-//! rate as feedback. The decision and its inputs are exported through the
-//! block's [`MetricsSnapshot`](block_stm_metrics::MetricsSnapshot)
+//! declared [`AccessHints`], no execution): the declared-overlap conflict
+//! estimate, the block length, and the previous block's observed abort rate as
+//! feedback. Hints only steer this choice — Block-STM itself never reads them.
+//! The decision is exported through the block's
+//! [`MetricsSnapshot`](block_stm_metrics::MetricsSnapshot)
 //! (`adaptive_engine_choice`, `adaptive_fallbacks`).
 
 use crate::block_stm::{BlockStm, BlockStmBuilder};
@@ -36,27 +34,25 @@ use crate::sequential::SequentialExecutor;
 use block_stm_storage::Storage;
 use block_stm_vm::{AccessHints, Transaction, Vm};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Which engine the adaptive executor dispatched (or will dispatch) a block to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
     /// The sequential baseline: zero coordination overhead, no speculation.
     Sequential,
-    /// Plain Block-STM optimistic parallel execution.
+    /// Block-STM optimistic parallel execution.
     Parallel,
-    /// Block-STM with hint-guided scheduling enabled.
-    Hinted,
 }
 
 impl EngineChoice {
     /// The stable numeric code exported via the `adaptive_engine_choice`
-    /// metric: 1 = sequential, 2 = parallel, 3 = hinted.
+    /// metric: 1 = sequential, 2 = parallel (3, once hint-guided Block-STM, is
+    /// retired).
     pub fn code(self) -> u64 {
         match self {
             EngineChoice::Sequential => 1,
             EngineChoice::Parallel => 2,
-            EngineChoice::Hinted => 3,
         }
     }
 }
@@ -67,8 +63,6 @@ impl EngineChoice {
 pub struct AdaptiveDecision {
     /// The selected engine.
     pub choice: EngineChoice,
-    /// Fraction of the block's transactions that declare access hints.
-    pub hint_coverage: f64,
     /// Fraction of transactions whose declared reads overlap a lower
     /// transaction's declared writes — the scheduling-relevant conflict
     /// estimate (0.0 when nothing is hinted: unknown, assumed low).
@@ -88,7 +82,6 @@ pub struct AdaptiveExecutorBuilder {
     abort_fallback_threshold: Option<u64>,
     force: Option<EngineChoice>,
     min_parallel_block: usize,
-    hint_coverage_threshold: f64,
     conflict_sequential_threshold: f64,
     abort_feedback_threshold: f64,
 }
@@ -102,7 +95,6 @@ impl AdaptiveExecutorBuilder {
             abort_fallback_threshold: None,
             force: None,
             min_parallel_block: 4,
-            hint_coverage_threshold: 0.5,
             conflict_sequential_threshold: 0.8,
             abort_feedback_threshold: 0.9,
         }
@@ -136,24 +128,16 @@ impl AdaptiveExecutorBuilder {
         self
     }
 
-    /// Minimum hint coverage (fraction of hinted transactions) to dispatch as
-    /// hinted Block-STM. Default: 0.5.
-    pub fn hint_coverage_threshold(mut self, fraction: f64) -> Self {
-        self.hint_coverage_threshold = fraction;
-        self
-    }
-
     /// Estimated conflict rate above which a block runs sequentially: a
-    /// declared-(near-)serial block gains nothing from speculation, and even
-    /// perfect hints would only re-run the serial chain with per-link wake-up
-    /// overhead. Default: 0.8.
+    /// declared-(near-)serial block gains nothing from speculation. Default:
+    /// 0.8.
     pub fn conflict_sequential_threshold(mut self, fraction: f64) -> Self {
         self.conflict_sequential_threshold = fraction;
         self
     }
 
-    /// Last-block abort rate above which the next low-signal block falls back
-    /// to sequential (feedback loop). Default: 0.9.
+    /// Last-block abort rate at or above which the next block falls back to
+    /// sequential (feedback loop). Default: 0.9.
     pub fn abort_feedback_threshold(mut self, fraction: f64) -> Self {
         self.abort_feedback_threshold = fraction;
         self
@@ -173,7 +157,6 @@ impl AdaptiveExecutorBuilder {
             parallel,
             force: self.force,
             min_parallel_block: self.min_parallel_block,
-            hint_coverage_threshold: self.hint_coverage_threshold,
             conflict_sequential_threshold: self.conflict_sequential_threshold,
             abort_feedback_threshold: self.abort_feedback_threshold,
             dispatch: Mutex::new(DispatchState {
@@ -185,23 +168,22 @@ impl AdaptiveExecutorBuilder {
 }
 
 /// Serialized dispatch bookkeeping: the feedback signal and the cumulative
-/// fallback count. One mutex also keeps the `set_hints_enabled` flip and the
-/// block execution it configures atomic with respect to other callers.
+/// fallback count. Held across a block's execution so its feedback update is
+/// atomic with respect to other callers.
 #[derive(Debug)]
 struct DispatchState {
     last_abort_rate: Option<f64>,
     fallbacks: u64,
 }
 
-/// A [`BlockExecutor`] that picks sequential, parallel or hinted execution per
-/// block — see the [module docs](self) for the decision model.
+/// A [`BlockExecutor`] that picks sequential or parallel execution per block —
+/// see the [module docs](self) for the decision model.
 #[derive(Debug)]
 pub struct AdaptiveExecutor {
     sequential: SequentialExecutor,
     parallel: BlockStm,
     force: Option<EngineChoice>,
     min_parallel_block: usize,
-    hint_coverage_threshold: f64,
     conflict_sequential_threshold: f64,
     abort_feedback_threshold: f64,
     dispatch: Mutex<DispatchState>,
@@ -243,26 +225,19 @@ impl AdaptiveExecutor {
         block: &[T],
         last_abort_rate: Option<f64>,
     ) -> AdaptiveDecision {
+        // Declared-overlap conflict estimate: the share of transactions whose
+        // declared reads overlap a lower transaction's declared writes.
         let hints: Vec<Option<AccessHints<T::Key>>> =
             block.iter().map(|txn| txn.access_hints()).collect();
-        let total = block.len().max(1) as f64;
-        let hinted = hints.iter().flatten().count();
-        let hint_coverage = hinted as f64 / total;
-
-        // Declared-overlap conflict estimate: the same reads-over-lower-writes
-        // scan hint planning parks transactions with.
-        let mut last_writer: HashMap<&T::Key, usize> = HashMap::new();
+        let mut written: HashSet<&T::Key> = HashSet::new();
         let mut conflicted = 0usize;
-        for (txn_idx, h) in hints.iter().enumerate() {
-            let Some(h) = h else { continue };
-            if h.reads.iter().any(|key| last_writer.contains_key(key)) {
+        for h in hints.iter().flatten() {
+            if h.reads.iter().any(|key| written.contains(key)) {
                 conflicted += 1;
             }
-            for key in &h.writes {
-                last_writer.insert(key, txn_idx);
-            }
+            written.extend(&h.writes);
         }
-        let estimated_conflict_rate = conflicted as f64 / total;
+        let estimated_conflict_rate = conflicted as f64 / block.len().max(1) as f64;
 
         let choice = if let Some(forced) = self.force {
             forced
@@ -272,26 +247,18 @@ impl AdaptiveExecutor {
             // estimate), or no parallelism to exploit — e.g. a 1-CPU host.
             EngineChoice::Sequential
         } else if estimated_conflict_rate >= self.conflict_sequential_threshold {
-            // Declared (near-)serial: even perfect hints would only rediscover
-            // the dependency chain and then execute it one transaction at a
-            // time with wake-up overhead per link — sequential execution runs
-            // the same chain with no coordination at all.
+            // Declared (near-)serial: speculation would rediscover the
+            // dependency chain through aborts — sequential execution runs the
+            // same chain with no coordination at all.
             EngineChoice::Sequential
-        } else if hint_coverage >= self.hint_coverage_threshold {
-            // Good coverage over a block with declared parallelism: hinted
-            // scheduling converts the (moderate) declared conflicts into
-            // pre-registered dependencies instead of doomed speculation.
-            EngineChoice::Hinted
         } else if last_abort_rate.is_some_and(|rate| rate >= self.abort_feedback_threshold) {
-            // Low signal and burned last time: don't pay for speculation that
-            // mostly aborts.
+            // Burned last time: don't pay for speculation that mostly aborts.
             EngineChoice::Sequential
         } else {
             EngineChoice::Parallel
         };
         AdaptiveDecision {
             choice,
-            hint_coverage,
             estimated_conflict_rate,
             last_abort_rate,
         }
@@ -319,30 +286,26 @@ impl AdaptiveExecutor {
                 output.metrics.adaptive_engine_choice = EngineChoice::Sequential.code();
                 Ok(output)
             }
-            choice @ (EngineChoice::Parallel | EngineChoice::Hinted) => {
-                self.parallel
-                    .set_hints_enabled(choice == EngineChoice::Hinted);
-                match self.parallel.execute_block(block, storage) {
-                    Ok(mut output) => {
-                        dispatch.last_abort_rate = Some(output.metrics.abort_rate());
-                        output.metrics.adaptive_engine_choice = choice.code();
-                        Ok(output)
-                    }
-                    Err(ExecutionError::AbortThresholdExceeded { .. }) => {
-                        // The escape hatch: speculation was halted past its
-                        // abort budget; the discarded attempt is replaced by a
-                        // sequential run and the feedback signal is pinned high
-                        // so the next low-signal block skips speculation.
-                        dispatch.fallbacks += 1;
-                        dispatch.last_abort_rate = Some(1.0);
-                        let mut output = self.sequential.execute_block(block, storage)?;
-                        output.metrics.adaptive_engine_choice = EngineChoice::Sequential.code();
-                        output.metrics.adaptive_fallbacks = 1;
-                        Ok(output)
-                    }
-                    Err(error) => Err(error),
+            EngineChoice::Parallel => match self.parallel.execute_block(block, storage) {
+                Ok(mut output) => {
+                    dispatch.last_abort_rate = Some(output.metrics.abort_rate());
+                    output.metrics.adaptive_engine_choice = EngineChoice::Parallel.code();
+                    Ok(output)
                 }
-            }
+                Err(ExecutionError::AbortThresholdExceeded { .. }) => {
+                    // The escape hatch: speculation was halted past its abort
+                    // budget; the discarded attempt is replaced by a sequential
+                    // run and the feedback signal is pinned high so the next
+                    // block skips speculation.
+                    dispatch.fallbacks += 1;
+                    dispatch.last_abort_rate = Some(1.0);
+                    let mut output = self.sequential.execute_block(block, storage)?;
+                    output.metrics.adaptive_engine_choice = EngineChoice::Sequential.code();
+                    output.metrics.adaptive_fallbacks = 1;
+                    Ok(output)
+                }
+                Err(error) => Err(error),
+            },
         }
     }
 }
@@ -399,29 +362,28 @@ mod tests {
     }
 
     #[test]
-    fn hinted_coverage_selects_hinted_dispatch() {
+    fn well_hinted_low_conflict_blocks_run_parallel() {
         let executor = AdaptiveExecutor::builder(Vm::for_testing())
             .concurrency(2)
             .build();
         // Fully hinted (SyntheticTransaction emits exact hints), mostly
         // independent: 40 private keys plus a 10-transaction chain on key 0 —
-        // enough declared conflict to need pre-registration, nowhere near the
-        // declared-serial cutoff.
+        // some declared conflict, nowhere near the declared-serial cutoff.
         let mut block: Vec<_> = (0..40)
             .map(|i| SyntheticTransaction::put(i + 1, i))
             .collect();
         block.extend((0..10).map(|_| SyntheticTransaction::increment(0)));
         let decision = executor.decide(&block);
-        assert_eq!(decision.choice, EngineChoice::Hinted);
-        assert_eq!(decision.hint_coverage, 1.0);
+        assert_eq!(decision.choice, EngineChoice::Parallel);
         assert!(decision.estimated_conflict_rate > 0.1);
         assert!(decision.estimated_conflict_rate < 0.5);
-        let output = executor
-            .execute_block(&block, &storage_with_keys(41))
+        let storage = storage_with_keys(41);
+        let output = executor.execute_block(&block, &storage).unwrap();
+        assert_eq!(output.metrics.adaptive_engine_choice, 2);
+        let reference = SequentialExecutor::new(Vm::for_testing())
+            .execute_block(&block, &storage)
             .unwrap();
-        assert_eq!(output.metrics.adaptive_engine_choice, 3);
-        assert!(output.metrics.hint_preregistered_deps >= 9);
-        assert_eq!(output.metrics.validation_failures, 0);
+        assert_eq!(output.updates, reference.updates);
     }
 
     #[test]
@@ -430,11 +392,10 @@ mod tests {
             .concurrency(2)
             .build();
         // A fully hinted read-modify-write chain on one key: every transaction
-        // conflicts with its predecessor. Perfect hints would only rediscover
-        // the chain — sequential execution wins outright.
+        // conflicts with its predecessor. Speculation would only rediscover
+        // the chain through aborts — sequential execution wins outright.
         let block = hot_key_block(50);
         let decision = executor.decide(&block);
-        assert_eq!(decision.hint_coverage, 1.0);
         assert!(decision.estimated_conflict_rate > 0.9);
         assert_eq!(decision.choice, EngineChoice::Sequential);
         let output = executor
@@ -448,13 +409,13 @@ mod tests {
         let executor = AdaptiveExecutor::builder(Vm::for_testing())
             .concurrency(2)
             .build();
-        // Strip the hints: coverage 0, conflict estimate 0 → parallel.
+        // Strip the hints: conflict estimate 0 → parallel.
         let block: Vec<_> = (0..40)
             .map(|i| HintedTransaction::unhinted(SyntheticTransaction::put(i, i)))
             .collect();
         let decision = executor.decide(&block);
         assert_eq!(decision.choice, EngineChoice::Parallel);
-        assert_eq!(decision.hint_coverage, 0.0);
+        assert_eq!(decision.estimated_conflict_rate, 0.0);
         let output = executor
             .execute_block(&block, &storage_with_keys(4))
             .unwrap();
@@ -470,21 +431,29 @@ mod tests {
         let executor = AdaptiveExecutor::builder(Vm::for_testing())
             .concurrency(2)
             .build();
-        // Advisory hints (coverage counts, no exactness): everyone reads and
-        // writes the same key → conflict estimate ~1.0. Coverage is 1.0 though,
-        // so hinted wins; drop coverage below threshold by hinting only a few.
-        let block: Vec<_> = (0..40)
+        // Advisory hints count for the estimate: everyone declares a read and
+        // write of the same key → conflict estimate ~1.0 → sequential.
+        let hot: Vec<_> = (0..40)
+            .map(|_| {
+                HintedTransaction::new(
+                    SyntheticTransaction::increment(0),
+                    Some(AccessHints::advisory(vec![0], vec![0])),
+                )
+            })
+            .collect();
+        let decision = executor.decide(&hot);
+        assert!(decision.estimated_conflict_rate > 0.9);
+        assert_eq!(decision.choice, EngineChoice::Sequential);
+        // Hinting only a quarter of the same block leaves 9/40 declared
+        // conflicts — below the sequential threshold: plain parallel.
+        let thin: Vec<_> = (0..40)
             .map(|i| {
                 let hints = (i < 10).then(|| AccessHints::advisory(vec![0], vec![0]));
                 HintedTransaction::new(SyntheticTransaction::increment(0), hints)
             })
             .collect();
-        let decision = executor.decide(&block);
-        assert!(decision.hint_coverage < 0.5);
+        let decision = executor.decide(&thin);
         assert!(decision.estimated_conflict_rate < 0.5);
-        // 9/40 conflicted (hinted txns 1..10 read key 0 behind a declared
-        // writer) — below the sequential threshold, and coverage is too thin
-        // for hinted: plain parallel.
         assert_eq!(decision.choice, EngineChoice::Parallel);
     }
 
@@ -497,11 +466,7 @@ mod tests {
         let reference = SequentialExecutor::new(Vm::for_testing())
             .execute_block(&block, &storage)
             .unwrap();
-        for (choice, code) in [
-            (EngineChoice::Sequential, 1),
-            (EngineChoice::Parallel, 2),
-            (EngineChoice::Hinted, 3),
-        ] {
+        for (choice, code) in [(EngineChoice::Sequential, 1), (EngineChoice::Parallel, 2)] {
             let executor = AdaptiveExecutor::builder(Vm::for_testing())
                 .concurrency(2)
                 .force_choice(choice)
@@ -516,25 +481,14 @@ mod tests {
 
     #[test]
     fn mid_block_abort_threshold_falls_back_to_sequential() {
-        // Advisory hints reorder the initial executions (tail first), so the
-        // head's writes deterministically invalidate the tail's reads and the
-        // zero-abort budget trips — even single-threaded. The adaptive executor
-        // must absorb the typed error and deliver the sequential result.
-        let storage = storage_with_keys(1);
-        let mut block: Vec<_> = (0..8)
-            .map(|_| {
-                HintedTransaction::new(
-                    SyntheticTransaction::increment(0),
-                    Some(AccessHints::advisory(vec![100], vec![])),
-                )
-            })
-            .collect();
-        block.push(HintedTransaction::unhinted(
-            SyntheticTransaction::increment(0),
-        ));
+        // The latch block fails exactly one validation at two workers, so the
+        // zero-abort budget trips. The adaptive executor must absorb the typed
+        // error and deliver the sequential result.
+        let storage = storage_with_keys(2);
+        let block = crate::testing::latch_block();
         let executor = AdaptiveExecutor::builder(Vm::for_testing())
             .concurrency(2)
-            .force_choice(EngineChoice::Hinted)
+            .force_choice(EngineChoice::Parallel)
             .abort_fallback_threshold(0)
             .build();
         let output = executor.execute_block(&block, &storage).unwrap();

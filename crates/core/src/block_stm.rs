@@ -24,8 +24,7 @@ use block_stm_scheduler::{Scheduler, Task, TaskKind};
 use block_stm_storage::Storage;
 use block_stm_sync::{Backoff, WorkerPool};
 use block_stm_vm::{
-    AbortCode, AccessHints, AggregatorValue, Transaction, TransactionOutput, TxnIndex, Version, Vm,
-    VmStatus,
+    AbortCode, AggregatorValue, Transaction, TransactionOutput, Version, Vm, VmStatus,
 };
 use parking_lot::Mutex;
 use std::any::Any;
@@ -78,8 +77,7 @@ impl Debug for BlockStmBuilder {
 }
 
 impl BlockStmBuilder {
-    /// Starts a builder with default options (one worker per available core, hints
-    /// off).
+    /// Starts a builder with default options (one worker per available core).
     pub fn new(vm: Vm) -> Self {
         Self {
             vm,
@@ -92,16 +90,6 @@ impl BlockStmBuilder {
     /// Sets the worker-thread count (`0` = one per available core, capped at 32).
     pub fn concurrency(mut self, concurrency: usize) -> Self {
         self.options.concurrency = concurrency;
-        self
-    }
-
-    /// Toggles hint-guided scheduling (off by default): declared access hints
-    /// pre-register dependencies, reorder initial executions
-    /// low-conflict-first, and — when every transaction's hints are exact —
-    /// skip validation descriptors for hint-proven private reads. Can also be
-    /// flipped at run time via [`BlockStm::set_hints_enabled`].
-    pub fn use_hints(mut self, enabled: bool) -> Self {
-        self.options.use_hints = enabled;
         self
     }
 
@@ -198,7 +186,6 @@ impl BlockStmBuilder {
             // The calling thread participates as worker 0 (like rayon's
             // `in_place_scope`), so the pool itself needs one thread fewer.
             pool: WorkerPool::new(workers.saturating_sub(1)),
-            hints_enabled: AtomicBool::new(self.options.use_hints),
             options: self.options,
             sinks: self.sinks,
             limiter: self.limiter,
@@ -222,11 +209,6 @@ pub struct BlockStm {
     vm: Vm,
     options: ExecutorOptions,
     pool: WorkerPool,
-    /// Run-time switch for hint-guided scheduling, seeded from
-    /// [`ExecutorOptions::use_hints`]. Kept separate from `options` so the
-    /// adaptive executor can dispatch plain and hinted blocks through **one**
-    /// worker pool instead of maintaining two engines.
-    hints_enabled: AtomicBool,
     /// Streaming consumers of the committed prefix (type-erased; see
     /// [`BlockStmBuilder::commit_sink`]). Every sink sees every commit event,
     /// in attach order.
@@ -255,8 +237,7 @@ impl BlockStm {
         BlockStmBuilder::new(vm)
     }
 
-    /// An executor with default options (one worker per available core, hints
-    /// off).
+    /// An executor with default options (one worker per available core).
     pub fn with_defaults(vm: Vm) -> Self {
         BlockStmBuilder::new(vm).build()
     }
@@ -280,19 +261,6 @@ impl BlockStm {
     /// Number of blocks dispatched onto the persistent pool so far (diagnostics).
     pub fn blocks_dispatched(&self) -> u64 {
         self.pool.epochs_run()
-    }
-
-    /// Whether declared access hints currently guide the scheduler.
-    pub fn hints_enabled(&self) -> bool {
-        self.hints_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flips hint-guided scheduling at run time, taking effect from the next
-    /// [`execute_block`](Self::execute_block) call. The adaptive executor uses
-    /// this to dispatch each block as plain or hinted Block-STM through the
-    /// same persistent worker pool.
-    pub fn set_hints_enabled(&self, enabled: bool) {
-        self.hints_enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Executes `block` against the pre-block `storage`.
@@ -340,12 +308,6 @@ impl BlockStm {
         let mut guard = self.state.lock();
         let state = EngineState::<T::Key, T::Value>::prepare(&mut guard, num_txns);
         state.metrics.record_block(num_txns);
-        if self.hints_enabled.load(Ordering::Relaxed) {
-            // Before any worker starts: park hinted transactions on their
-            // declared writers, install the low-conflict-first initial order
-            // and (when every hint is exact) build the read-privacy map.
-            plan_hints(state, block);
-        }
         for sink in sinks {
             sink.begin_block(num_txns);
         }
@@ -367,7 +329,6 @@ impl BlockStm {
             sinks,
             limiter,
             frontier: None,
-            hint_plan: state.hints.as_ref(),
             abort_count: &state.abort_count,
         };
         let job = |_worker_index: usize| {
@@ -488,133 +449,9 @@ pub(crate) struct EngineState<K, V> {
     pub(crate) scheduler: Scheduler,
     pub(crate) outputs: Vec<OutputSlot<K, V>>,
     pub(crate) commit_drain: Mutex<DrainState<K, V>>,
-    /// The block's hint plan, installed by [`plan_hints`] when hint-guided
-    /// scheduling is enabled; `None` otherwise (and always in chained
-    /// execution).
-    pub(crate) hints: Option<HintPlan<K>>,
     /// Validation aborts observed this block, feeding the
     /// [`ExecutorOptions::abort_fallback_threshold`] escape hatch.
     pub(crate) abort_count: AtomicU64,
-}
-
-/// What [`plan_hints`] distilled from a block's declared access hints for use
-/// *during* execution (the scheduling side — pre-registered dependencies and
-/// the initial order — is installed directly into the scheduler).
-pub(crate) struct HintPlan<K> {
-    /// Per-transaction **exact** declared write-set, sorted and deduplicated
-    /// for binary search; `None` for transactions with missing or advisory
-    /// hints (nothing to enforce, no privacy contribution). Exactness is
-    /// enforced at record time: an undeclared write fails the block with
-    /// [`ExecutionError::UndeclaredWrite`] before the bogus version can land
-    /// in the multi-version memory.
-    exact_writes: Vec<Option<Vec<K>>>,
-    /// Lowest declared writer per key. Populated only when *every* transaction
-    /// in the block carries exact hints — a single unhinted (or advisory)
-    /// transaction could write anywhere, voiding the privacy proof.
-    lowest_writer: Option<HashMap<K, TxnIndex>>,
-}
-
-/// Distills the block's declared access hints into scheduler guidance and the
-/// per-block [`HintPlan`]:
-///
-/// 1. **Pre-registered dependencies** — a transaction whose declared reads
-///    overlap a lower transaction's declared writes starts parked on its
-///    highest such writer instead of paying for a doomed speculation.
-/// 2. **Initial order** — transactions are dispensed for their *first*
-///    execution in ascending declared-conflict degree (commit order is
-///    untouched), so low-conflict work fills the pipeline while hot-key chains
-///    resolve.
-/// 3. **Privacy map** — when every hint is exact, the lowest declared writer
-///    per key lets reads below it skip validation descriptors entirely.
-///
-/// Hints are advisory for 1–2: wrong hints only cost performance. Step 3 trades
-/// on exactness, which `try_execute` enforces before recording any output.
-fn plan_hints<T: Transaction>(state: &mut EngineState<T::Key, T::Value>, block: &[T]) {
-    let num_txns = block.len();
-    let hints: Vec<Option<AccessHints<T::Key>>> =
-        block.iter().map(|txn| txn.access_hints()).collect();
-    if hints.iter().all(|h| h.is_none()) {
-        return;
-    }
-
-    // Initial order: estimated conflict degree = for each declared key, how
-    // many *other* hint mentions touch it, summed. Stable sort keeps ties
-    // (including all unhinted transactions, degree 0) in index order.
-    let mut popularity: HashMap<&T::Key, u64> = HashMap::new();
-    for h in hints.iter().flatten() {
-        for key in h.reads.iter().chain(h.writes.iter()) {
-            *popularity.entry(key).or_insert(0) += 1;
-        }
-    }
-    let degree = |h: &Option<AccessHints<T::Key>>| -> u64 {
-        h.as_ref().map_or(0, |h| {
-            h.reads
-                .iter()
-                .chain(h.writes.iter())
-                .map(|key| popularity[key] - 1)
-                .sum()
-        })
-    };
-    let degrees: Vec<u64> = hints.iter().map(degree).collect();
-    let mut order: Vec<TxnIndex> = (0..num_txns).collect();
-    order.sort_by_key(|&txn_idx| degrees[txn_idx]);
-    if order
-        .iter()
-        .enumerate()
-        .any(|(pos, &txn_idx)| pos != txn_idx)
-    {
-        state.scheduler.set_initial_order(order);
-    }
-
-    // Pre-registered dependencies: park each transaction on the highest lower
-    // transaction that declares a write overlapping its declared reads.
-    let mut last_writer: HashMap<&T::Key, TxnIndex> = HashMap::new();
-    let mut preregistered = 0u64;
-    for (txn_idx, h) in hints.iter().enumerate() {
-        let Some(h) = h else { continue };
-        let blocker = h
-            .reads
-            .iter()
-            .filter_map(|key| last_writer.get(key).copied())
-            .max();
-        if let Some(blocker) = blocker {
-            if state.scheduler.preregister_dependency(txn_idx, blocker) {
-                preregistered += 1;
-            }
-        }
-        for key in &h.writes {
-            last_writer.insert(key, txn_idx);
-        }
-    }
-    state.metrics.record_hint_preregistered_deps(preregistered);
-
-    // Privacy map: sound only when every transaction's hints are exact.
-    let all_exact = hints.iter().all(|h| h.as_ref().is_some_and(|h| h.exact));
-    let lowest_writer = all_exact.then(|| {
-        let mut lowest: HashMap<T::Key, TxnIndex> = HashMap::new();
-        for (txn_idx, h) in hints.iter().enumerate() {
-            for key in h.as_ref().into_iter().flat_map(|h| h.writes.iter()) {
-                lowest.entry(key.clone()).or_insert(txn_idx);
-            }
-        }
-        lowest
-    });
-    let exact_writes = hints
-        .into_iter()
-        .map(|h| match h {
-            Some(h) if h.exact => {
-                let mut writes = h.writes;
-                writes.sort_unstable();
-                writes.dedup();
-                Some(writes)
-            }
-            _ => None,
-        })
-        .collect();
-    state.hints = Some(HintPlan {
-        exact_writes,
-        lowest_writer,
-    });
 }
 
 impl<K, V> EngineState<K, V>
@@ -629,7 +466,6 @@ where
             scheduler: Scheduler::new(num_txns),
             outputs: (0..num_txns).map(|_| Mutex::new(None)).collect(),
             commit_drain: Mutex::new(DrainState::default()),
-            hints: None,
             abort_count: AtomicU64::new(0),
         }
     }
@@ -645,7 +481,6 @@ where
         }
         self.outputs.resize_with(num_txns, || Mutex::new(None));
         *self.commit_drain.get_mut() = DrainState::default();
-        self.hints = None;
         *self.abort_count.get_mut() = 0;
     }
 
@@ -689,10 +524,6 @@ pub(crate) struct Worker<'a, T: Transaction, S> {
     /// publishes this block's committed writes into it. `None` for single-block
     /// execution — every chain-specific branch below is compiled around this.
     pub(crate) frontier: Option<&'a FrontierOverlay<T::Key, T::Value>>,
-    /// Hint-guided execution only: the block's [`HintPlan`] (exactness
-    /// enforcement + read-privacy map). `None` when hints are off and always
-    /// in chained execution.
-    pub(crate) hint_plan: Option<&'a HintPlan<T::Key>>,
     /// Validation-abort tally feeding the
     /// [`ExecutorOptions::abort_fallback_threshold`] escape hatch.
     pub(crate) abort_count: &'a AtomicU64,
@@ -1074,10 +905,6 @@ where
                 // blocks' committed overlay. The overlay is sealed (frozen) for
                 // this block exactly when its commit gate has been opened.
                 view = view.with_frontier(frontier, self.scheduler.commit_gate_open());
-            } else if let Some(lowest_writer) =
-                self.hint_plan.and_then(|plan| plan.lowest_writer.as_ref())
-            {
-                view = view.with_hint_privacy(lowest_writer);
             }
             self.metrics.record_incarnation();
             match self.vm.execute(txn, &view) {
@@ -1097,39 +924,11 @@ where
                     self.metrics
                         .record_committed_prefix_reads(view.committed_final_reads());
                     self.metrics.record_frontier_reads(view.frontier_reads());
-                    self.metrics
-                        .record_hints_skipped_validations(view.hint_skipped_reads());
                     let (resolutions, chain_len_max) = view.delta_resolution_stats();
                     self.metrics
                         .record_delta_resolutions(resolutions, chain_len_max);
                     if output.abort_code == Some(AbortCode::DeltaOverflow) {
                         self.metrics.record_delta_overflow_abort();
-                    }
-                    // Exactness enforcement, BEFORE anything is recorded: a
-                    // transaction that claimed an exact write-set but wrote (or
-                    // delta'd) outside it fails the whole block — never letting
-                    // the undeclared version into the multi-version memory,
-                    // which is what keeps the hint-privacy descriptor skips
-                    // sound.
-                    if let Some(declared) = self
-                        .hint_plan
-                        .and_then(|plan| plan.exact_writes[txn_idx].as_deref())
-                    {
-                        let undeclared = output
-                            .writes
-                            .iter()
-                            .map(|write| &write.key)
-                            .chain(output.deltas.iter().map(|(key, _)| key))
-                            .any(|key| declared.binary_search(key).is_err());
-                        if undeclared {
-                            let mut drain = self.commit_drain.lock();
-                            if drain.failure.is_none() {
-                                drain.failure = Some(ExecutionError::UndeclaredWrite { txn_idx });
-                            }
-                            drop(drain);
-                            self.scheduler.halt();
-                            return None;
-                        }
                     }
                     let read_set = view.take_read_set();
                     let write_set: Vec<(T::Key, T::Value)> = output
@@ -1343,8 +1142,8 @@ mod tests {
 
     #[test]
     fn options_ablations_still_match_sequential() {
-        // Every option setting changes the schedule only, never the output: hints
-        // on, an abort budget too large to trip, and both together.
+        // Every option setting changes the schedule only, never the output: an
+        // abort budget too large to trip matches the default engine.
         let storage = storage_with_keys(4);
         let block: Vec<_> = (0..80)
             .map(|i| SyntheticTransaction::transfer(i % 4, (i + 1) % 4, i))
@@ -1353,13 +1152,6 @@ mod tests {
             BlockStmBuilder::new(Vm::for_testing()).concurrency(4),
             BlockStmBuilder::new(Vm::for_testing())
                 .concurrency(4)
-                .use_hints(true),
-            BlockStmBuilder::new(Vm::for_testing())
-                .concurrency(4)
-                .abort_fallback_threshold(u64::MAX),
-            BlockStmBuilder::new(Vm::for_testing())
-                .concurrency(4)
-                .use_hints(true)
                 .abort_fallback_threshold(u64::MAX),
         ] {
             let parallel = builder.build();
@@ -1709,8 +1501,8 @@ mod tests {
 
     #[test]
     fn hinted_execution_matches_sequential() {
-        // SyntheticTransaction emits exact hints; hinting must change only the
-        // schedule, never the committed state.
+        // SyntheticTransaction declares exact hints; the engine ignores them
+        // and discovers the same dependencies at run time.
         let storage = storage_with_keys(8);
         let block: Vec<_> = (0..120)
             .map(|i| {
@@ -1719,118 +1511,21 @@ mod tests {
             })
             .collect();
         for threads in [1, 2, 4] {
-            let hinted = BlockStmBuilder::new(Vm::for_testing())
+            let executor = BlockStmBuilder::new(Vm::for_testing())
                 .concurrency(threads)
-                .use_hints(true)
                 .build();
             let sequential = SequentialExecutor::new(Vm::for_testing());
-            let output = hinted.execute_block(&block, &storage).unwrap();
+            let output = executor.execute_block(&block, &storage).unwrap();
             let expected = sequential.execute_block(&block, &storage).unwrap();
             assert_eq!(output.updates, expected.updates, "threads={threads}");
-            assert!(
-                output.metrics.hint_preregistered_deps > 0,
-                "the transfer chains overlap: some dependency must be pre-registered"
-            );
         }
-    }
-
-    #[test]
-    fn hinted_hot_key_chain_executes_each_txn_exactly_once() {
-        // A fully sequential RMW chain with exact hints: every transaction is
-        // pre-registered on its predecessor, so nothing speculates wrongly —
-        // zero failed validations and exactly one incarnation per transaction,
-        // at any concurrency. This is the scheduling win the adaptivebench
-        // strict-win row measures against the unhinted engine.
-        let n = 100u64;
-        let storage = storage_with_keys(1);
-        let block: Vec<_> = (0..n).map(|_| SyntheticTransaction::increment(0)).collect();
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .use_hints(true)
-            .build();
-        let sequential = SequentialExecutor::new(Vm::for_testing());
-        let output = hinted.execute_block(&block, &storage).unwrap();
-        let expected = sequential.execute_block(&block, &storage).unwrap();
-        assert_eq!(output.updates, expected.updates);
-        assert_eq!(output.metrics.validation_failures, 0);
-        assert_eq!(output.metrics.incarnations, n);
-        assert_eq!(output.metrics.hint_preregistered_deps, n - 1);
-    }
-
-    #[test]
-    fn exact_hints_skip_validation_descriptors_for_private_reads() {
-        use block_stm_vm::HintedTransaction;
-        // Disjoint per-transaction keys, with dummy shared read hints inflating
-        // the first half's declared-conflict degree: the initial order runs
-        // transactions 4..8 first, i.e. *above* the commit watermark, where
-        // their reads are speculative — and hint-proven private (no lower
-        // transaction declares a write to their keys), so no validation
-        // descriptors are captured. Deterministic even at concurrency 1.
-        let storage = storage_with_keys(8);
-        let block: Vec<_> = (0..8u64)
-            .map(|i| {
-                let reads = if i < 4 { vec![900, 901, i] } else { vec![i] };
-                HintedTransaction::new(
-                    SyntheticTransaction::increment(i),
-                    Some(AccessHints::exact(reads, vec![i])),
-                )
-            })
-            .collect();
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(1)
-            .use_hints(true)
-            .build();
-        let output = hinted.execute_block(&block, &storage).unwrap();
-        assert!(
-            output.metrics.hints_skipped_validations >= 4,
-            "the reordered tail's private reads must skip their descriptors \
-             (skipped: {})",
-            output.metrics.hints_skipped_validations
-        );
-        let unhinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .build();
-        let reference = unhinted.execute_block(&block, &storage).unwrap();
-        assert_eq!(output.updates, reference.updates);
-        assert_eq!(reference.metrics.hints_skipped_validations, 0);
-    }
-
-    #[test]
-    fn lying_exact_hints_fail_with_undeclared_write() {
-        use block_stm_vm::HintedTransaction;
-        // Transaction 1 writes key 1 but its (lying) exact hints declare only
-        // key 9: the engine must refuse the block before the undeclared write
-        // can corrupt the hint-privacy fast path.
-        let storage = storage_with_keys(4);
-        let block = vec![
-            HintedTransaction::new(
-                SyntheticTransaction::put(0, 5),
-                Some(AccessHints::exact(vec![], vec![0])),
-            ),
-            HintedTransaction::new(
-                SyntheticTransaction::put(1, 7),
-                Some(AccessHints::exact(vec![], vec![9])),
-            ),
-        ];
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .use_hints(true)
-            .build();
-        match hinted.execute_block(&block, &storage) {
-            Err(ExecutionError::UndeclaredWrite { txn_idx }) => assert_eq!(txn_idx, 1),
-            other => panic!("expected UndeclaredWrite, got {other:?}"),
-        }
-        // The executor survives and runs honest blocks afterwards.
-        let honest = vec![SyntheticTransaction::put(0, 5)];
-        let output = hinted.execute_block(&honest, &storage).unwrap();
-        assert_eq!(output.num_txns(), 1);
     }
 
     #[test]
     fn wrong_advisory_hints_only_cost_performance() {
-        use block_stm_vm::HintedTransaction;
-        // Advisory hints pointing at entirely wrong keys: scheduling guidance
-        // is garbage, but the committed state must still match sequential.
+        use block_stm_vm::{AccessHints, HintedTransaction};
+        // Advisory hints pointing at entirely wrong keys: the engine never
+        // reads them, so the committed state still matches sequential.
         let storage = storage_with_keys(4);
         let block: Vec<_> = (0..40)
             .map(|i| {
@@ -1843,77 +1538,32 @@ mod tests {
                 )
             })
             .collect();
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
+        let executor = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(4)
-            .use_hints(true)
             .build();
         let sequential = SequentialExecutor::new(Vm::for_testing());
-        let output = hinted.execute_block(&block, &storage).unwrap();
+        let output = executor.execute_block(&block, &storage).unwrap();
         let expected = sequential.execute_block(&block, &storage).unwrap();
         assert_eq!(output.updates, expected.updates);
-        assert_eq!(
-            output.metrics.hints_skipped_validations, 0,
-            "advisory hints must never unlock the privacy fast path"
-        );
     }
 
     #[test]
     fn abort_threshold_halts_the_block_with_a_typed_error() {
-        use block_stm_vm::HintedTransaction;
-        // Deterministic setup, even single-threaded: advisory hints give the
-        // conflicting head transactions a higher declared-conflict degree than
-        // the tail one, so the initial order runs txn 2 first; transactions 0
-        // and 1 then overwrite the key it read, its validation fails, and the
-        // zero-abort budget trips.
-        let storage = storage_with_keys(1);
-        let block = vec![
-            HintedTransaction::new(
-                SyntheticTransaction::increment(0),
-                Some(AccessHints::advisory(vec![100], vec![])),
-            ),
-            HintedTransaction::new(
-                SyntheticTransaction::increment(0),
-                Some(AccessHints::advisory(vec![100], vec![])),
-            ),
-            HintedTransaction::new(SyntheticTransaction::increment(0), None),
-        ];
+        // The latch block fails exactly one validation at two workers, which
+        // trips the zero-abort budget.
+        let storage = storage_with_keys(2);
         let executor = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(1)
-            .use_hints(true)
+            .concurrency(2)
             .abort_fallback_threshold(0)
             .build();
-        match executor.execute_block(&block, &storage) {
+        match executor.execute_block(&crate::testing::latch_block(), &storage) {
             Err(ExecutionError::AbortThresholdExceeded { aborts }) => assert!(aborts >= 1),
             other => panic!("expected AbortThresholdExceeded, got {other:?}"),
         }
         // The executor survives; an uncontended block sails through.
-        let calm: Vec<_> = (0..4)
-            .map(|i| HintedTransaction::unhinted(SyntheticTransaction::put(i, i)))
-            .collect();
+        let calm: Vec<_> = (0..4).map(|i| SyntheticTransaction::put(i, i)).collect();
         let output = executor.execute_block(&calm, &storage).unwrap();
         assert_eq!(output.num_txns(), 4);
-    }
-
-    #[test]
-    fn hints_toggle_at_runtime() {
-        let storage = storage_with_keys(1);
-        let block: Vec<_> = (0..30)
-            .map(|_| SyntheticTransaction::increment(0))
-            .collect();
-        let executor = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(2)
-            .build();
-        assert!(!executor.hints_enabled());
-        let unhinted = executor.execute_block(&block, &storage).unwrap();
-        assert_eq!(unhinted.metrics.hint_preregistered_deps, 0);
-        executor.set_hints_enabled(true);
-        assert!(executor.hints_enabled());
-        let hinted = executor.execute_block(&block, &storage).unwrap();
-        assert_eq!(hinted.metrics.hint_preregistered_deps, 29);
-        assert_eq!(unhinted.updates, hinted.updates);
-        executor.set_hints_enabled(false);
-        let off_again = executor.execute_block(&block, &storage).unwrap();
-        assert_eq!(off_again.metrics.hint_preregistered_deps, 0);
     }
 
     #[test]

@@ -636,9 +636,6 @@ where
             sinks: self.sinks,
             limiter: self.limiter,
             frontier: Some(self.frontier),
-            // Hints and the abort-fallback escape hatch are single-block
-            // concerns; chained execution runs unhinted.
-            hint_plan: None,
             abort_count: &state.abort_count,
         }
     }

@@ -49,8 +49,7 @@ pub enum ExecutionError {
     },
     /// A transaction wrote a location missing from its declared write-set — the
     /// declaration under-approximates the writes, which breaks the contract of
-    /// engines that pre-build version chains from it (Bohm) or skip validation
-    /// for hint-private reads (hinted Block-STM).
+    /// engines that pre-build version chains from it (Bohm).
     UndeclaredWrite {
         /// Index of the offending transaction.
         txn_idx: usize,

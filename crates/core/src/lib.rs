@@ -144,21 +144,15 @@
 //! README's "Delta writes" section has a doctested walkthrough; the
 //! `block-stm-mvmemory` crate docs carry the safety argument.
 //!
-//! ## Hint-guided scheduling and adaptive engine selection
+//! ## Adaptive engine selection
 //!
 //! Transactions may declare optional [`AccessHints`] (read/write sets, possibly
-//! imprecise). With [`BlockStmBuilder::use_hints`] the scheduler pre-registers
-//! dependencies on declared read-over-write overlaps, reorders initial
-//! executions low-conflict-first (commit order is untouched), and — when every
-//! hint in the block is exact — skips validation descriptors for hint-proven
-//! private reads. Hints are advisory for scheduling; correctness never depends
-//! on them unless they claim exactness, which is then enforced at record time
-//! ([`ExecutionError::UndeclaredWrite`]). On top of this, [`AdaptiveExecutor`]
-//! picks sequential / parallel / hinted execution **per block** from cheap
-//! signals and carries a mid-block escape hatch back to sequential
+//! imprecise). Block-STM never reads them — it discovers every dependency at
+//! run time. [`AdaptiveExecutor`] uses them as one cheap signal to pick
+//! sequential or parallel execution **per block**, and carries a mid-block
+//! escape hatch back to sequential
 //! ([`ExecutionError::AbortThresholdExceeded`]). The README's "Adaptive
-//! execution" section has a doctested walkthrough; the `block-stm-scheduler`
-//! crate docs carry the hint-safety argument.
+//! execution" section has a doctested walkthrough.
 //!
 //! ## Crate layout
 //!
@@ -172,14 +166,14 @@
 //!   rolling committed prefix.
 //! * [`SequentialExecutor`] — the baseline the paper compares against and the
 //!   correctness oracle for every other engine.
-//! * [`AdaptiveExecutor`] — per-block engine selection over sequential /
-//!   parallel / hinted dispatch, with the abort-threshold escape hatch.
+//! * [`AdaptiveExecutor`] — per-block choice of sequential or parallel
+//!   execution, with the abort-threshold escape hatch.
 //! * [`BlockOutput`] — committed state updates, per-transaction outputs and execution
 //!   metrics (plus the [`truncated_at`](BlockOutput::truncated_at) cut marker).
 //! * [`ExecutionError`] — typed failures (worker panic, misconfiguration, violated
 //!   invariants).
-//! * [`ExecutorOptions`] — thread count, hint-guided scheduling and the abort
-//!   budget (assembled fluently by [`BlockStmBuilder`]).
+//! * [`ExecutorOptions`] — thread count and the abort budget (assembled
+//!   fluently by [`BlockStmBuilder`]).
 //!
 //! The building blocks live in sibling crates: `block-stm-mvmemory` (Algorithm 2),
 //! `block-stm-scheduler` (Algorithms 4–5), `block-stm-vm` (transaction model and
@@ -204,6 +198,8 @@ mod executor;
 mod hooks;
 mod output;
 mod sequential;
+#[cfg(test)]
+mod testing;
 mod view;
 
 pub use adaptive::{AdaptiveDecision, AdaptiveExecutor, AdaptiveExecutorBuilder, EngineChoice};

@@ -58,18 +58,9 @@ pub struct MVHashMapView<'a, K, V, S> {
     /// the committed-prefix fast path must not skip descriptors for reads that
     /// rest on the frontier.
     frontier_sealed: bool,
-    /// Hint-guided execution only: the lowest *declared* writer per key, built
-    /// from exact access hints covering the whole block. A storage fall-through
-    /// read of a key whose lowest declared writer is at or above this
-    /// transaction can never be overwritten by a lower transaction (write
-    /// exactness is enforced at record time), so it is final and needs no
-    /// validation descriptor. `None` when hints are off, any hint is inexact,
-    /// or the block runs inside a chain (the frontier can still change bases).
-    hint_private: Option<&'a std::collections::HashMap<K, TxnIndex>>,
     captured_reads: RefCell<Vec<ReadDescriptor<K>>>,
     committed_final_reads: Cell<u64>,
     frontier_reads: Cell<u64>,
-    hint_skipped_reads: Cell<u64>,
     delta_resolutions: Cell<u64>,
     delta_chain_len_max: Cell<u64>,
 }
@@ -97,11 +88,9 @@ where
             cache,
             frontier: None,
             frontier_sealed: false,
-            hint_private: None,
             captured_reads: RefCell::new(Vec::new()),
             committed_final_reads: Cell::new(0),
             frontier_reads: Cell::new(0),
-            hint_skipped_reads: Cell::new(0),
             delta_resolutions: Cell::new(0),
             delta_chain_len_max: Cell::new(0),
         }
@@ -119,27 +108,6 @@ where
     pub fn with_frontier(mut self, frontier: &'a FrontierOverlay<K, V>, sealed: bool) -> Self {
         self.frontier = Some(frontier);
         self.frontier_sealed = sealed;
-        self
-    }
-
-    /// Enables the hint-privacy fast path: `lowest_writer` maps each key to the
-    /// lowest transaction index that *declares* a write to it, built from exact
-    /// access hints covering every transaction of the block. A storage
-    /// fall-through read of a key with no declared writer below this
-    /// transaction is final for the whole block — no lower transaction can
-    /// ever publish a version for it (exactness is enforced when outputs are
-    /// recorded) — so no validation descriptor is captured for it. Must not be
-    /// combined with [`with_frontier`](Self::with_frontier): a live frontier
-    /// can change the base under such reads.
-    pub fn with_hint_privacy(
-        mut self,
-        lowest_writer: &'a std::collections::HashMap<K, TxnIndex>,
-    ) -> Self {
-        debug_assert!(
-            self.frontier.is_none(),
-            "hint privacy is incompatible with a cross-block frontier"
-        );
-        self.hint_private = Some(lowest_writer);
         self
     }
 
@@ -171,13 +139,6 @@ where
     /// `delta_resolutions` / `delta_chain_len_max` metrics by the executor.
     pub fn delta_resolution_stats(&self) -> (u64, u64) {
         (self.delta_resolutions.get(), self.delta_chain_len_max.get())
-    }
-
-    /// Number of reads proven private by exact access hints (no descriptor
-    /// recorded). Flushed into the `hints_skipped_validations` metric by the
-    /// executor.
-    pub fn hint_skipped_reads(&self) -> u64 {
-        self.hint_skipped_reads.get()
     }
 
     /// Number of reads served from the cross-block frontier overlay — stamped
@@ -317,23 +278,6 @@ where
                         Some(value) => ReadOutcome::Value(value),
                         None => ReadOutcome::NotFound,
                     };
-                }
-                if let Some(lowest_writer) = self.hint_private {
-                    // No transaction below this one declares a write to the key
-                    // — and exact declarations are enforced as write supersets
-                    // at record time — so within this block the fall-through is
-                    // final: nothing to re-validate, no descriptor.
-                    if lowest_writer
-                        .get(key)
-                        .is_none_or(|&writer| writer >= self.txn_idx)
-                    {
-                        self.hint_skipped_reads
-                            .set(self.hint_skipped_reads.get() + 1);
-                        return match self.storage.get(key) {
-                            Some(value) => ReadOutcome::Value(value),
-                            None => ReadOutcome::NotFound,
-                        };
-                    }
                 }
                 self.captured_reads
                     .borrow_mut()
@@ -476,32 +420,6 @@ mod tests {
         assert_eq!(speculative.read(&1), ReadOutcome::Value(111));
         assert_eq!(speculative.reads_captured(), 1);
         assert_eq!(speculative.committed_final_reads(), 0);
-    }
-
-    #[test]
-    fn hint_private_reads_skip_descriptor_capture() {
-        let (mvmemory, storage, metrics) = fixture();
-        // Exact hints declare: key 1 is first written by txn 5; key 2 by nobody.
-        let mut lowest = std::collections::HashMap::new();
-        lowest.insert(1u64, 5usize);
-        let cache = RefCell::new(LocationCache::new());
-        let view =
-            MVHashMapView::new(&mvmemory, &storage, 3, &metrics, &cache).with_hint_privacy(&lowest);
-        // No declared writer below txn 3 for either key: both reads are final.
-        assert_eq!(view.read(&2), ReadOutcome::Value(200));
-        assert_eq!(view.read(&1), ReadOutcome::Value(100));
-        assert_eq!(
-            view.reads_captured(),
-            0,
-            "private reads record no descriptors"
-        );
-        assert_eq!(view.hint_skipped_reads(), 2);
-        // A reader above the declared writer still captures its descriptor.
-        let above =
-            MVHashMapView::new(&mvmemory, &storage, 6, &metrics, &cache).with_hint_privacy(&lowest);
-        assert_eq!(above.read(&1), ReadOutcome::Value(100));
-        assert_eq!(above.reads_captured(), 1);
-        assert_eq!(above.hint_skipped_reads(), 0);
     }
 
     #[test]

@@ -82,14 +82,6 @@ pub struct ExecutionMetrics {
     /// inter-block bubble a barrier-per-block executor would pay in park/unpark
     /// and dispatch latency instead.
     chain_idle_ns: PaddedAtomicU64,
-    /// Dependencies pre-registered from declared access hints before the first
-    /// worker started: hinted transactions parked on their declared writer
-    /// instead of paying for a doomed speculative execution.
-    hint_preregistered_deps: PaddedAtomicU64,
-    /// Reads proven private by exact access hints (no transaction below the
-    /// reader declares a write to the key): served without recording a
-    /// validation descriptor, so validation has nothing to re-check for them.
-    hints_skipped_validations: PaddedAtomicU64,
 }
 
 impl ExecutionMetrics {
@@ -237,22 +229,6 @@ impl ExecutionMetrics {
         }
     }
 
-    /// Records `n` dependencies pre-registered from declared access hints (one
-    /// bulk add per block, at hint-plan time).
-    pub fn record_hint_preregistered_deps(&self, n: u64) {
-        if n > 0 {
-            self.hint_preregistered_deps.add(n);
-        }
-    }
-
-    /// Flushes one incarnation's count of reads whose validation descriptors
-    /// were skipped because exact hints prove the key private below the reader.
-    pub fn record_hints_skipped_validations(&self, n: u64) {
-        if n > 0 {
-            self.hints_skipped_validations.add(n);
-        }
-    }
-
     /// Freezes the counters into a plain snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -284,8 +260,6 @@ impl ExecutionMetrics {
             chain_cross_block_aborts: self.chain_cross_block_aborts.load(),
             chain_sweeps: self.chain_sweeps.load(),
             chain_idle_ns: self.chain_idle_ns.load(),
-            hint_preregistered_deps: self.hint_preregistered_deps.load(),
-            hints_skipped_validations: self.hints_skipped_validations.load(),
             // Adaptive-dispatch fields are set by the AdaptiveExecutor on the
             // snapshot it returns; the per-block recorder has no view of them.
             adaptive_engine_choice: 0,
@@ -323,8 +297,6 @@ impl ExecutionMetrics {
         self.chain_cross_block_aborts.reset();
         self.chain_sweeps.reset();
         self.chain_idle_ns.reset();
-        self.hint_preregistered_deps.reset();
-        self.hints_skipped_validations.reset();
     }
 }
 
@@ -356,8 +328,6 @@ mod tests {
         metrics.record_cross_block_abort();
         metrics.record_chain_sweep();
         metrics.record_chain_idle_ns(1_000);
-        metrics.record_hint_preregistered_deps(3);
-        metrics.record_hints_skipped_validations(11);
         metrics.reset();
         let snap = metrics.snapshot();
         assert_eq!(snap, MetricsSnapshot::default());

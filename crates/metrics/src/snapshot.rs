@@ -71,16 +71,11 @@ pub struct MetricsSnapshot {
     /// Nanoseconds workers spent idle-polling while a chain was active (the
     /// pipelined substitute for inter-block park/unpark bubbles).
     pub chain_idle_ns: u64,
-    /// Dependencies pre-registered from declared access hints before workers
-    /// started (hinted transactions parked on their declared writer).
-    pub hint_preregistered_deps: u64,
-    /// Reads whose validation descriptors were skipped because exact access
-    /// hints prove no lower transaction can write the key.
-    pub hints_skipped_validations: u64,
     /// Which engine the adaptive executor dispatched the block to: 0 = not an
-    /// adaptive run, 1 = sequential, 2 = parallel Block-STM, 3 = hinted
-    /// Block-STM. Merges as `max` (the "most parallel" choice wins) so
-    /// aggregated rows still show whether parallelism was ever engaged.
+    /// adaptive run, 1 = sequential, 2 = parallel Block-STM (3, once
+    /// hint-guided Block-STM, is retired). Merges as `max` (the "most
+    /// parallel" choice wins) so aggregated rows still show whether
+    /// parallelism was ever engaged.
     pub adaptive_engine_choice: u64,
     /// Blocks the adaptive executor re-ran sequentially after the parallel
     /// attempt crossed the abort-fallback threshold mid-block.
@@ -186,9 +181,6 @@ impl MetricsSnapshot {
                 + other.chain_cross_block_aborts,
             chain_sweeps: self.chain_sweeps + other.chain_sweeps,
             chain_idle_ns: self.chain_idle_ns + other.chain_idle_ns,
-            hint_preregistered_deps: self.hint_preregistered_deps + other.hint_preregistered_deps,
-            hints_skipped_validations: self.hints_skipped_validations
-                + other.hints_skipped_validations,
             adaptive_engine_choice: self
                 .adaptive_engine_choice
                 .max(other.adaptive_engine_choice),
@@ -231,8 +223,6 @@ mod tests {
             chain_cross_block_aborts: 2,
             chain_sweeps: 5,
             chain_idle_ns: 10_000,
-            hint_preregistered_deps: 7,
-            hints_skipped_validations: 55,
             adaptive_engine_choice: 2,
             adaptive_fallbacks: 1,
         }
@@ -280,8 +270,6 @@ mod tests {
         assert_eq!(merged.chain_cross_block_aborts, 4);
         assert_eq!(merged.chain_sweeps, 10);
         assert_eq!(merged.chain_idle_ns, 20_000);
-        assert_eq!(merged.hint_preregistered_deps, 14);
-        assert_eq!(merged.hints_skipped_validations, 110);
         assert_eq!(
             merged.adaptive_engine_choice, 2,
             "engine choice merges as max, not sum"

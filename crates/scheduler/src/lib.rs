@@ -145,52 +145,6 @@
 //! re-executes doomed speculation early); soundness needs only the final,
 //! mandatory sweep-then-open ordering. ∎
 //!
-//! # Hint-guided scheduling: the hint-safety argument
-//!
-//! Declared access hints ([`AccessHints`](https://docs.rs/block-stm) on the
-//! transaction trait) enter the scheduler through exactly two primitives, and
-//! both are confined to the *dispensing* side of the scheduler — neither
-//! touches the validation cursor, the wave bookkeeping or the commit rule:
-//!
-//! * [`Scheduler::set_initial_order`] permutes which transaction the execution
-//!   counter dispenses at each position (low-declared-conflict first). The
-//!   status lattice, validation sweeps and the commit ladder all operate on
-//!   **transaction indices**; a permuted *execution* order only changes which
-//!   speculation runs first, and a mis-ordered speculation that read too early
-//!   is caught by validation like any other stale read.
-//! * [`Scheduler::preregister_dependency`] parks a hinted reader on its
-//!   declared writer before the block starts. This is precisely the state the
-//!   pair would reach organically if the reader had executed, observed an
-//!   ESTIMATE of the writer and aborted — minus the doomed execution. The
-//!   parked transaction re-enters through the ordinary `resume_dependencies`
-//!   wake path, executes a fresh incarnation, and that incarnation validates
-//!   and commits under the unmodified ladder rules.
-//!
-//! Hence the safety argument above goes through **verbatim** with hints on:
-//! every invalidating event still lowers the validation cursor, every commit
-//! still requires a sufficiently-fresh passing validation, and the ladder
-//! still commits in index order. Stale, partial or adversarially wrong hints
-//! can only (a) pick a worse initial order, or (b) park a transaction behind a
-//! writer it never actually conflicts with — both cost performance, never
-//! correctness. A hinted reader parked behind the *wrong* writer is woken when
-//! that writer finishes and then validates against what it actually read; a
-//! conflict the hints *missed* is simply discovered at run time exactly as in
-//! the unhinted engine. Wake-ups are why liveness is also preserved: parking
-//! only ever moves a transaction into the `ABORTING` → resume path that
-//! organic ESTIMATE reads already exercise, and at most one pre-dependency is
-//! installed per transaction, on a lower-indexed blocker, so no cycle can be
-//! declared.
-//!
-//! The one hint consumer that *does* carry correctness weight lives outside
-//! the scheduler: when every hint in the block is `exact`, the core engine
-//! skips multi-version **validation descriptors** for reads the hints prove
-//! private. That optimization leans on the exactness promise (declared writes
-//! are a superset of actual writes), so the engine enforces the promise at
-//! record time — a transaction writing outside its declared exact write-set
-//! fails the whole block with a typed `UndeclaredWrite` error before the
-//! undeclared version can enter the multi-version map. Advisory hints never
-//! enable that path.
-//!
 //! The public API mirrors the paper's function names one-to-one so the correctness
 //! argument of Appendix A maps directly onto this code:
 //! [`Scheduler::next_task`], [`Scheduler::add_dependency`],

@@ -94,16 +94,6 @@ pub struct Scheduler {
     txn_dependency: Vec<CachePadded<Mutex<Vec<TxnIndex>>>>,
     /// Per transaction: current incarnation number, status and wave bookkeeping.
     txn_status: Vec<CachePadded<Mutex<StatusEntry>>>,
-    /// Hint-guided initial execution order: the execution counter dispenses
-    /// *positions*, and `initial_order[pos]` is the transaction executed at
-    /// position `pos` (`None` = identity, the paper's index order). Purely a
-    /// scheduling heuristic — validation, the commit ladder and the preset
-    /// serialization order are untouched (see
-    /// [`set_initial_order`](Self::set_initial_order)).
-    initial_order: Option<Vec<TxnIndex>>,
-    /// Inverse permutation: `order_position[txn_idx]` is the position of
-    /// `txn_idx` in `initial_order`. Empty when `initial_order` is `None`.
-    order_position: Vec<usize>,
 }
 
 impl Scheduler {
@@ -128,8 +118,6 @@ impl Scheduler {
             txn_status: (0..block_size)
                 .map(|_| CachePadded::new(Mutex::new(StatusEntry::initial())))
                 .collect(),
-            initial_order: None,
-            order_position: Vec::new(),
         }
     }
 
@@ -167,94 +155,6 @@ impl Scheduler {
         while self.txn_status.len() < block_size {
             self.txn_status
                 .push(CachePadded::new(Mutex::new(StatusEntry::initial())));
-        }
-        // Hints are per block: the next block must opt in again.
-        self.initial_order = None;
-        self.order_position.clear();
-    }
-
-    /// Installs a hint-guided **initial execution order** for this block: the
-    /// execution counter dispenses positions `0, 1, 2, ...` and position `pos`
-    /// executes transaction `order[pos]` (low-conflict transactions first, per
-    /// the hint partition). `order` must be a permutation of
-    /// `0..block_size()`.
-    ///
-    /// This is purely a dispensing heuristic and cannot affect the committed
-    /// output: the validation cursor, the wave bookkeeping and the commit
-    /// ladder all operate on *transaction indices* exactly as before, so the
-    /// preset serialization order is preserved no matter how execution is
-    /// permuted — a mis-ordered speculation is caught by validation like any
-    /// other stale read.
-    ///
-    /// Requires `&mut self` (called between [`reset`](Self::reset) and the
-    /// block's first task claim, while no worker holds a reference).
-    pub fn set_initial_order(&mut self, order: Vec<TxnIndex>) {
-        assert_eq!(order.len(), self.block_size, "order must cover the block");
-        self.order_position.clear();
-        self.order_position.resize(self.block_size, usize::MAX);
-        for (pos, &txn_idx) in order.iter().enumerate() {
-            assert!(
-                txn_idx < self.block_size && self.order_position[txn_idx] == usize::MAX,
-                "initial order must be a permutation of 0..block_size"
-            );
-            self.order_position[txn_idx] = pos;
-        }
-        self.initial_order = Some(order);
-    }
-
-    /// Pre-registers a **hinted dependency** before the block starts: `txn_idx`
-    /// is parked (it will fail every `try_incarnate` until woken) and is added
-    /// to `blocking_txn_idx`'s dependency list, exactly as if it had executed,
-    /// read an ESTIMATE of the blocker and aborted — minus the doomed
-    /// speculative execution. When the blocker finishes its next incarnation,
-    /// `finish_execution` resumes `txn_idx` through the ordinary
-    /// `resume_dependencies` path.
-    ///
-    /// Returns `false` (and registers nothing) unless `txn_idx` is still in its
-    /// untouched initial state, so at most one pre-dependency can be installed
-    /// per transaction. Stale or wrong hints cannot affect the output: parking
-    /// only delays the first execution, and the woken incarnation validates
-    /// like any other.
-    ///
-    /// Requires `&mut self` (no worker is running, so no lock ordering or
-    /// wake race to consider — in particular the blocker cannot have finished
-    /// executing yet).
-    pub fn preregister_dependency(
-        &mut self,
-        txn_idx: TxnIndex,
-        blocking_txn_idx: TxnIndex,
-    ) -> bool {
-        assert!(
-            blocking_txn_idx < txn_idx && txn_idx < self.block_size,
-            "pre-registered dependencies point to lower transactions in the block"
-        );
-        let entry = self.txn_status[txn_idx].get_mut();
-        if entry.status != TxnStatus::ReadyToExecute || entry.incarnation != 0 {
-            return false;
-        }
-        entry.status = TxnStatus::Aborting;
-        self.txn_dependency[blocking_txn_idx]
-            .get_mut()
-            .push(txn_idx);
-        true
-    }
-
-    /// Maps an execution-counter position to the transaction dispensed there.
-    #[inline]
-    fn txn_at_position(&self, pos: usize) -> TxnIndex {
-        match &self.initial_order {
-            Some(order) if pos < order.len() => order[pos],
-            _ => pos,
-        }
-    }
-
-    /// Maps a transaction index to its execution-counter position.
-    #[inline]
-    fn position_of(&self, txn_idx: TxnIndex) -> usize {
-        if self.initial_order.is_some() {
-            self.order_position[txn_idx]
-        } else {
-            txn_idx
         }
     }
 
@@ -345,9 +245,7 @@ impl Scheduler {
 
     /// Position of the execution cursor, clamped to the block size. The distance
     /// `execution_cursor() - committed_prefix()` is the commit lag: how far
-    /// speculation has run ahead of the committed prefix. (With a hinted
-    /// initial order installed this counts dispensed *positions*, not
-    /// transaction indices.)
+    /// speculation has run ahead of the committed prefix.
     pub fn execution_cursor(&self) -> usize {
         self.execution_idx.load().min(self.block_size)
     }
@@ -400,11 +298,9 @@ impl Scheduler {
         self.txn_dependency[txn_idx].lock().capacity()
     }
 
-    /// `decrease_execution_idx` (Lines 98–100). The counter lives in
-    /// *position* space, so the target transaction is translated through the
-    /// hinted initial order (identity without one).
+    /// `decrease_execution_idx` (Lines 98–100).
     fn decrease_execution_idx(&self, target_idx: TxnIndex) {
-        self.execution_idx.decrease(self.position_of(target_idx));
+        self.execution_idx.decrease(target_idx);
     }
 
     /// `decrease_validation_idx` (Lines 103–105), wave-stamped: lowering the cursor
@@ -521,7 +417,7 @@ impl Scheduler {
             self.check_done();
             return None;
         }
-        let idx_to_execute = self.txn_at_position(self.execution_idx.fetch_and_increment());
+        let idx_to_execute = self.execution_idx.fetch_and_increment();
         self.try_incarnate(idx_to_execute)
     }
 
@@ -590,9 +486,7 @@ impl Scheduler {
 
     /// `next_task` (Lines 137–146): hands the calling thread the lowest-indexed ready
     /// task, preferring validation when the validation cursor is behind the execution
-    /// cursor. (With a hinted initial order the execution counter counts
-    /// *positions*, so the comparison degrades to a heuristic — either branch
-    /// is correct, it only biases which task kind is tried first.)
+    /// cursor.
     pub fn next_task(&self) -> Option<Task> {
         let (validation_idx, _) = self.validation_cursor();
         if validation_idx < self.execution_idx.load() {
@@ -653,13 +547,7 @@ impl Scheduler {
         for &dep_txn_idx in dependent_txn_indices {
             self.set_ready_status(dep_txn_idx);
         }
-        // The execution counter is in position space: lower it to the earliest
-        // *dispensed position* among the woken transactions (identical to the
-        // minimum index without a hinted order).
-        if let Some(&first_dependency) = dependent_txn_indices
-            .iter()
-            .min_by_key(|&&dep| self.position_of(dep))
-        {
+        if let Some(&first_dependency) = dependent_txn_indices.iter().min() {
             self.decrease_execution_idx(first_dependency);
         }
     }
@@ -745,7 +633,7 @@ impl Scheduler {
         if aborted {
             self.set_ready_status(txn_idx);
             self.decrease_validation_idx(txn_idx + 1);
-            if self.execution_idx.load() > self.position_of(txn_idx) {
+            if self.execution_idx.load() > txn_idx {
                 // The execution cursor already passed it: hand the re-execution
                 // straight back (the paper's case 2(c)).
                 return self.try_incarnate(txn_idx).map(Task::execution);
@@ -1580,121 +1468,6 @@ mod tests {
         assert!(scheduler.done());
         assert_eq!(scheduler.committed_prefix(), n);
         // Every transaction must have finished in the COMMITTED state.
-        for txn_idx in 0..n {
-            assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Committed);
-        }
-    }
-
-    #[test]
-    fn initial_order_dispenses_executions_in_hinted_order() {
-        let mut scheduler = Scheduler::new(4);
-        scheduler.set_initial_order(vec![2, 0, 3, 1]);
-        let claimed: Vec<usize> = (0..4).map(|_| claim(&scheduler).version.txn_idx).collect();
-        assert_eq!(claimed, vec![2, 0, 3, 1]);
-    }
-
-    #[test]
-    fn initial_order_block_completes_and_commits_in_preset_order() {
-        // Run the single-threaded drive loop under a reversed initial order:
-        // the block must still commit 0..n in preset order.
-        let n = 6;
-        let mut scheduler = Scheduler::new(n);
-        scheduler.set_initial_order((0..n).rev().collect());
-        let executed = drive_to_completion(&scheduler);
-        assert!(executed.iter().all(|&count| count == 1));
-        assert_eq!(scheduler.committed_prefix(), n);
-        for txn_idx in 0..n {
-            assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Committed);
-        }
-    }
-
-    #[test]
-    fn reset_clears_the_initial_order() {
-        let mut scheduler = Scheduler::new(3);
-        scheduler.set_initial_order(vec![2, 1, 0]);
-        scheduler.reset(3);
-        let claimed: Vec<usize> = (0..3).map(|_| claim(&scheduler).version.txn_idx).collect();
-        assert_eq!(claimed, vec![0, 1, 2], "reset restores index order");
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn initial_order_rejects_non_permutations() {
-        let mut scheduler = Scheduler::new(3);
-        scheduler.set_initial_order(vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn preregistered_dependency_parks_until_blocker_finishes() {
-        let mut scheduler = Scheduler::new(3);
-        assert!(scheduler.preregister_dependency(2, 0));
-        // Only one pre-dependency per transaction: the second refuses.
-        assert!(!scheduler.preregister_dependency(2, 1));
-        // txn 2 is parked: the dispenser skips it (claims 0 then 1, never 2).
-        let e0 = claim(&scheduler);
-        let e1 = claim(&scheduler);
-        assert_eq!(e0.version.txn_idx, 0);
-        assert_eq!(e1.version.txn_idx, 1);
-        assert_eq!(scheduler.status_of(2), TxnStatus::Aborting);
-        // The blocker finishing execution wakes txn 2 through the ordinary
-        // resume path, at incarnation 1.
-        scheduler.finish_execution(0, 0, false);
-        assert_eq!(scheduler.status_of(2), TxnStatus::ReadyToExecute);
-        assert_eq!(scheduler.incarnation_of(2), 1);
-        let woken = claim(&scheduler);
-        assert!(woken.is_execution());
-        assert_eq!(woken.version, Version::new(2, 1));
-    }
-
-    #[test]
-    fn preregistration_composes_with_initial_order_under_concurrency() {
-        // A dependency chain pre-registered on top of a reversed initial order,
-        // driven by 4 threads: every transaction still commits exactly once in
-        // preset order. This is the hinted configuration the core engine uses.
-        let n = 64;
-        let mut scheduler = Scheduler::new(n);
-        scheduler.set_initial_order((0..n).rev().collect());
-        for txn_idx in (1..n).step_by(2) {
-            assert!(scheduler.preregister_dependency(txn_idx, txn_idx - 1));
-        }
-        let scheduler = Arc::new(scheduler);
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let scheduler = Arc::clone(&scheduler);
-                std::thread::spawn(move || {
-                    let mut task: Option<Task> = None;
-                    while !scheduler.done() {
-                        match task.take() {
-                            Some(t) if t.is_execution() => {
-                                task = scheduler.finish_execution(
-                                    t.version.txn_idx,
-                                    t.version.incarnation,
-                                    false,
-                                );
-                            }
-                            Some(t) => {
-                                task = scheduler.finish_validation(
-                                    t.version.txn_idx,
-                                    t.version.incarnation,
-                                    t.wave,
-                                    false,
-                                );
-                            }
-                            None => {
-                                task = scheduler.next_task();
-                                if task.is_none() {
-                                    std::hint::spin_loop();
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for thread in threads {
-            thread.join().unwrap();
-        }
-        assert_eq!(scheduler.committed_prefix(), n);
         for txn_idx in 0..n {
             assert_eq!(scheduler.status_of(txn_idx), TxnStatus::Committed);
         }

@@ -7,17 +7,21 @@ use crate::view::StateReader;
 use std::fmt::Debug;
 use std::hash::Hash;
 
-/// Declared read/write access sets for one transaction — the structured form of
-/// the conflict-specification hints the scheduling layers consume.
+/// Declared read/write access sets for one transaction — plain declared data.
 ///
-/// Hints are **advisory for scheduling** (pre-registering dependencies, choosing
-/// an initial execution order) and may be partial, stale or plain wrong without
-/// affecting the committed output. The one correctness-bearing bit is
-/// [`exact`](AccessHints::exact): an exact hint *promises* that `writes` is a
-/// superset of every location any execution of the transaction may write
-/// (including delta applications). Engines that rely on that promise — Bohm's
-/// pre-built version chains, hinted Block-STM's private-read validation
-/// skipping — enforce it at run time and fail the block with a typed error
+/// Block-STM never reads them: it discovers every dependency at run time. The
+/// consumers are the Bohm baseline (its pre-built version chains need exact
+/// write-sets), the adaptive executor's pre-execution conflict estimate,
+/// the persistence layer's commit prefetch (`BlockCache::prefetch_declared`,
+/// through [`declared_write_set`](Transaction::declared_write_set)) and
+/// benchmark harnesses that want a block's expected read keys.
+///
+/// Hints may be partial, stale or plain wrong without affecting the committed
+/// output of any engine that accepts advisory hints. The one correctness-bearing
+/// bit is [`exact`](AccessHints::exact): an exact hint *promises* that `writes`
+/// is a superset of every location any execution of the transaction may write
+/// (including delta applications). Bohm relies on that promise and enforces it
+/// at run time, failing the block with a typed error
 /// ([`UndeclaredWrite`](https://docs.rs/block-stm)-style) instead of committing
 /// a wrong state when a transaction breaks it. `reads` is always advisory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,8 +45,9 @@ impl<K> AccessHints<K> {
         }
     }
 
-    /// Advisory hints: best-effort sets that engines may only use for
-    /// scheduling, never for correctness.
+    /// Advisory hints: best-effort sets that engines may only use as a
+    /// heuristic (the adaptive executor's conflict estimate), never for
+    /// correctness.
     pub fn advisory(reads: Vec<K>, writes: Vec<K>) -> Self {
         Self {
             reads,
@@ -178,14 +183,17 @@ pub trait Transaction: Send + Sync {
 
     /// The transaction's declared access sets, when the model can provide them.
     ///
-    /// Block-STM never needs hints (run-time write-set estimation is its whole
-    /// point), but it can *use* them: the hinted scheduler pre-registers
-    /// dependencies and reorders initial execution from them, and the Bohm
-    /// baseline builds its placeholder version chains from exact hints when
-    /// driven through the engine-agnostic `BlockExecutor` interface. The
-    /// default (`None`) opts out: hint-aware engines fall back to plain
-    /// speculation, and engines that *require* hints (Bohm) report a typed
-    /// error rather than guess.
+    /// Block-STM never reads hints (run-time write-set estimation is its whole
+    /// point). The consumers are the Bohm baseline, which builds its
+    /// placeholder version chains from exact hints when driven through the
+    /// engine-agnostic `BlockExecutor` interface; the adaptive executor, which
+    /// estimates a block's conflict rate from declared read/write overlaps to
+    /// choose sequential or parallel execution; the persistence layer's commit
+    /// prefetch (via [`declared_write_set`](Transaction::declared_write_set));
+    /// and benchmark harnesses reading the declared read keys. The default
+    /// (`None`) opts out: the adaptive executor assumes low conflict, and
+    /// engines that *require* hints (Bohm) report a typed error rather than
+    /// guess.
     fn access_hints(&self) -> Option<AccessHints<Self::Key>> {
         None
     }

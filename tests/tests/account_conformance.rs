@@ -82,7 +82,6 @@ fn conformance_battery<T: AccountTransaction>(
         for (label, choice) in [
             ("adaptive(seq)", EngineChoice::Sequential),
             ("adaptive(par)", EngineChoice::Parallel),
-            ("adaptive(hint)", EngineChoice::Hinted),
         ] {
             engines.push((
                 label,
@@ -99,7 +98,7 @@ fn conformance_battery<T: AccountTransaction>(
             Box::new(
                 AdaptiveExecutor::builder(Vm::for_testing())
                     .concurrency(threads)
-                    .force_choice(EngineChoice::Hinted)
+                    .force_choice(EngineChoice::Parallel)
                     .abort_fallback_threshold(0)
                     .build(),
             ),
@@ -329,7 +328,7 @@ proptest! {
             Box::new(
                 AdaptiveExecutor::builder(Vm::for_testing())
                     .concurrency(threads)
-                    .force_choice(EngineChoice::Hinted)
+                    .force_choice(EngineChoice::Parallel)
                     .abort_fallback_threshold(0)
                     .build(),
             ),
@@ -390,7 +389,7 @@ proptest! {
             Box::new(
                 AdaptiveExecutor::builder(Vm::for_testing())
                     .concurrency(threads)
-                    .force_choice(EngineChoice::Hinted)
+                    .force_choice(EngineChoice::Parallel)
                     .abort_fallback_threshold(0)
                     .build(),
             ),

@@ -19,9 +19,8 @@ type Storage = InMemoryStorage<u64, u64>;
 type Engine = Box<dyn BlockExecutor<SyntheticTransaction, Storage>>;
 
 /// Every engine in the workspace, configured for `threads` workers. The adaptive
-/// dispatcher runs five ways: deciding organically, forced down each of
-/// its three engine paths, and forced hinted with a zero abort budget so the
-/// mid-block sequential fallback fires whenever the block conflicts at all.
+/// dispatcher runs three ways: deciding organically, and forced down each of
+/// its two engine paths.
 fn engines(threads: usize) -> Vec<Engine> {
     vec![
         Box::new(
@@ -47,19 +46,6 @@ fn engines(threads: usize) -> Vec<Engine> {
             AdaptiveExecutor::builder(Vm::for_testing())
                 .concurrency(threads)
                 .force_choice(EngineChoice::Parallel)
-                .build(),
-        ),
-        Box::new(
-            AdaptiveExecutor::builder(Vm::for_testing())
-                .concurrency(threads)
-                .force_choice(EngineChoice::Hinted)
-                .build(),
-        ),
-        Box::new(
-            AdaptiveExecutor::builder(Vm::for_testing())
-                .concurrency(threads)
-                .force_choice(EngineChoice::Hinted)
-                .abort_fallback_threshold(0)
                 .build(),
         ),
     ]
@@ -165,8 +151,6 @@ fn engine_names_and_order_contract_are_stable() {
             "litm",
             "adaptive",
             "adaptive",
-            "adaptive",
-            "adaptive",
             "adaptive"
         ]
     );
@@ -174,10 +158,7 @@ fn engine_names_and_order_contract_are_stable() {
         .iter()
         .map(|engine| engine.preserves_preset_order())
         .collect();
-    assert_eq!(
-        order,
-        vec![true, true, true, false, true, true, true, true, true]
-    );
+    assert_eq!(order, vec![true, true, true, false, true, true, true]);
 }
 
 /// The tentpole reuse scenario: a single `BlockStm` instance executes 50 consecutive

@@ -110,18 +110,12 @@ fn executor_option_ablations_preserve_correctness() {
     let sequential = SequentialExecutor::new(Vm::for_testing())
         .execute_block(&block, &storage)
         .unwrap();
-    // The remaining options steer scheduling only: hints on, and an abort
-    // budget too large to trip, alone and together.
+    // The one remaining option beside the thread count: an abort budget too
+    // large to trip never changes the output.
     for builder in [
+        BlockStmBuilder::new(Vm::for_testing()).concurrency(8),
         BlockStmBuilder::new(Vm::for_testing())
             .concurrency(8)
-            .use_hints(true),
-        BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(8)
-            .abort_fallback_threshold(u64::MAX),
-        BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(8)
-            .use_hints(true)
             .abort_fallback_threshold(u64::MAX),
     ] {
         let parallel = builder.build().execute_block(&block, &storage).unwrap();

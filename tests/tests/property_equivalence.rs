@@ -3,10 +3,11 @@
 //! thread count. Shrinking gives minimal counterexamples if the engines ever diverge.
 //!
 //! The wrong-hints suite is the teeth behind the "hints are advisory" claim:
-//! arbitrarily wrong *advisory* hints fed to the hinted scheduler (and to the
-//! adaptive dispatcher forced onto its hinted path) must leave the committed
-//! output byte-for-byte identical to sequential execution, while an *exact*
-//! hint that lies about the write-set must fail the block with the typed
+//! arbitrarily wrong *advisory* hints steer the adaptive dispatcher's
+//! sequential/parallel choice but must leave the committed output
+//! byte-for-byte identical to sequential execution, while an *exact* hint that
+//! lies about the write-set must fail a Bohm block (the one engine that trusts
+//! declared write-sets) with the typed
 //! [`UndeclaredWrite`](block_stm::ExecutionError::UndeclaredWrite) error
 //! instead of committing anything.
 
@@ -122,10 +123,10 @@ proptest! {
         prop_assert_eq!(first.updates, second.updates);
     }
 
-    /// Advisory hints are pure scheduling advice: no matter how wrong they are,
-    /// the hinted scheduler and the adaptive dispatcher (forced onto its hinted
-    /// path, with the mid-block fallback both disarmed and hair-triggered) must
-    /// commit the sequential preset-order state byte for byte.
+    /// Advisory hints are pure dispatch advice: no matter how wrong they are,
+    /// the adaptive dispatcher — deciding from them organically, or forced
+    /// parallel with a hair-triggered mid-block fallback — must commit the
+    /// sequential preset-order state byte for byte.
     #[test]
     fn arbitrarily_wrong_advisory_hints_never_change_committed_output(
         block in vec((arb_txn(), arb_wrong_hints()), 1..50),
@@ -142,29 +143,19 @@ proptest! {
 
         let engines: Vec<(&str, Box<dyn BlockExecutor<_, _>>)> = vec![
             (
-                "hinted-block-stm",
+                "adaptive",
                 Box::new(
-                    BlockStmBuilder::new(Vm::for_testing())
+                    AdaptiveExecutor::builder(Vm::for_testing())
                         .concurrency(threads)
-                        .use_hints(true)
                         .build(),
                 ),
             ),
             (
-                "adaptive(hint)",
+                "adaptive(parallel, fallback)",
                 Box::new(
                     AdaptiveExecutor::builder(Vm::for_testing())
                         .concurrency(threads)
-                        .force_choice(EngineChoice::Hinted)
-                        .build(),
-                ),
-            ),
-            (
-                "adaptive(hint, fallback)",
-                Box::new(
-                    AdaptiveExecutor::builder(Vm::for_testing())
-                        .concurrency(threads)
-                        .force_choice(EngineChoice::Hinted)
+                        .force_choice(EngineChoice::Parallel)
                         .abort_fallback_threshold(0)
                         .build(),
                 ),
@@ -181,10 +172,10 @@ proptest! {
     }
 
     /// The flip side: an `exact` hint whose write-set lies (omits a location
-    /// the transaction really writes) must fail the whole block with the typed
+    /// the transaction really writes) must fail a Bohm block with the typed
     /// [`UndeclaredWrite`] error naming the liar — never commit a state built
-    /// on the broken privacy promise. Every other transaction carries its own
-    /// truthful exact hints, so enforcement is per-transaction.
+    /// on version chains that miss the write. Every other transaction carries
+    /// its own truthful exact hints, so enforcement is per-transaction.
     #[test]
     fn lying_exact_hints_fail_with_undeclared_write(
         block in vec(arb_txn(), 1..30),
@@ -210,11 +201,8 @@ proptest! {
                 }
             })
             .collect();
-        let hinted = BlockStmBuilder::new(Vm::for_testing())
-            .concurrency(threads)
-            .use_hints(true)
-            .build();
-        match hinted.execute_block(&hinted_block, &storage) {
+        let bohm = BohmExecutor::new(Vm::for_testing(), threads);
+        match bohm.execute_block(&hinted_block, &storage) {
             Err(ExecutionError::UndeclaredWrite { txn_idx }) => {
                 prop_assert_eq!(txn_idx, liar_idx);
             }

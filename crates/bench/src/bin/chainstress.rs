@@ -1,6 +1,8 @@
-//! Adversarial stress harness for `execute_stream`: a dribbling block source
-//! (random `Pending` polls, like a mempool former between cuts), variable
-//! block sizes, and per-block conservation + sequential-equivalence oracles.
+//! Adversarial stress harness for `BlockStm::execute_stream`: a dribbling
+//! block source (random `Pending` polls, like a mempool former between cuts),
+//! variable block sizes, and per-block conservation + sequential-equivalence
+//! oracles. It drives the engine's one task loop (`run_stint`) through every
+//! chain handoff, slot recycle and late-arrival path.
 //!
 //! This harness found the commit-ladder claim race (a validation-cursor
 //! `fetch_add` advancing past a transaction before its `max_triggered_wave`
@@ -14,6 +16,11 @@
 //!
 //! Set `BLOCK_STM_CHAIN_AUDIT=1` to re-validate every committed read set at
 //! drain time and abort with full wave forensics on the first stale commit.
+//! CI runs a bounded audited pass:
+//!
+//! ```text
+//! BLOCK_STM_CHAIN_AUDIT=1 cargo run --release -p block-stm-bench --bin chainstress -- 40 2
+//! ```
 
 use block_stm::SequentialExecutor;
 use block_stm::{BlockFeed, BlockStmBuilder, Vm};
@@ -96,7 +103,7 @@ fn main() {
 
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(threads)
-            .build_chain();
+            .build();
         let output = chain
             .execute_stream(&source, &genesis)
             .expect("stream execution failed");

@@ -24,7 +24,7 @@
 //!
 //! The last section is the **chain mode**: a stream of 100+ small blocks executed
 //! `barrier`-per-block (one `execute_block` per block, updates folded into
-//! storage between blocks) vs `chained` (one `ChainExecutor::execute_chain`
+//! storage between blocks) vs `chained` (one `BlockStm::execute_chain`
 //! dispatch pipelining through the cross-block frontier). Sustained TPS is the
 //! median of several reps. The chained row's lag columns report the
 //! **ingest→committed** distribution in microseconds: every block is ingested
@@ -395,22 +395,18 @@ fn main() {
     .collect();
     let total_txns: usize = stream.iter().map(Vec::len).sum();
 
-    // Both shapes stay alive for the whole section and the reps interleave
-    // (barrier, chained, barrier, ...), so clock-frequency / cache drift on the
-    // shared CI host lands on both sides instead of biasing whichever section
-    // ran second. Barrier shape: one persistent executor, one dispatch per
-    // block, updates folded into storage between blocks. Chained shape: the
-    // whole stream is one dispatch.
-    let barrier = BlockStmBuilder::new(Vm::new(GasSchedule::zero_work()))
+    // One executor runs both shapes and the reps interleave (barrier,
+    // chained, barrier, ...), so clock-frequency / cache drift on the shared
+    // CI host lands on both sides instead of biasing whichever section ran
+    // second. Barrier shape: one dispatch per block, updates folded into
+    // storage between blocks. Chained shape: the whole stream is one dispatch.
+    let executor = BlockStmBuilder::new(Vm::new(GasSchedule::zero_work()))
         .concurrency(chain_threads)
         .build();
-    let chain = BlockStmBuilder::new(Vm::new(GasSchedule::zero_work()))
-        .concurrency(chain_threads)
-        .build_chain();
-    barrier
+    executor
         .execute_block(&stream[0], &storage)
         .expect("barrier warm-up");
-    chain
+    executor
         .execute_chain(&stream[..2], &storage)
         .expect("chain warm-up");
     let mut barrier_secs = Vec::with_capacity(chain_reps);
@@ -419,7 +415,7 @@ fn main() {
         let mut running = storage.clone();
         let start = Instant::now();
         for block in &stream {
-            let output = barrier
+            let output = executor
                 .execute_block(block, &running)
                 .expect("barrier block executes");
             for (key, value) in output.updates {
@@ -429,12 +425,12 @@ fn main() {
         barrier_secs.push(start.elapsed().as_secs_f64());
 
         let start = Instant::now();
-        chain
+        executor
             .execute_chain(&stream, &storage)
             .expect("chain executes");
         chained_secs.push(start.elapsed().as_secs_f64());
     }
-    drop(barrier);
+    drop(executor);
 
     // Separate instrumented pass: per-block ingest→committed lag through a
     // CommitSink (all blocks are ingested at dispatch; a block's lag is the
@@ -443,7 +439,7 @@ fn main() {
     let instrumented_chain = BlockStmBuilder::new(Vm::new(GasSchedule::zero_work()))
         .concurrency(chain_threads)
         .commit_sink::<u64, u64>(lag_sink.clone())
-        .build_chain();
+        .build();
     let chain_output = instrumented_chain
         .execute_chain(&stream, &storage)
         .expect("instrumented chain executes");

@@ -1,5 +1,5 @@
 //! Executor-reuse benchmark: one persistent `BlockStm` vs. a fresh executor per
-//! block, vs. one `ChainExecutor` dispatch for the whole stream.
+//! block, vs. one `BlockStm::execute_chain` dispatch for the whole stream.
 //!
 //! The paper's setting (§1, §6) is a validator executing *block after block*; this
 //! benchmark quantifies why the engine is shaped for that: at small block sizes the
@@ -11,7 +11,7 @@
 //! one-shot `ParallelExecutor` flow effectively paid. The `chained` mode goes one
 //! step further: the whole stream is a single `execute_chain` dispatch, so workers
 //! are unparked **once per chain instead of once per block** — the `pool_wakeups`
-//! column (read from the executors' own dispatch counters) drops from `blocks` to 1,
+//! column (read from the executor's own dispatch counter) drops from `blocks` to 1,
 //! and block boundaries cost a commit-gate flip instead of a park/unpark round trip.
 //!
 //! Gas is `zero_work` so the numbers isolate *engine* cost: with heavy VM work the
@@ -121,7 +121,7 @@ fn measure_triple<T, S>(
     reused
         .execute_block(block, storage)
         .expect("warm-up failed");
-    let wakeups_before = reused.blocks_dispatched();
+    let wakeups_before = reused.dispatches();
     let start = Instant::now();
     for _ in 0..blocks {
         reused
@@ -129,28 +129,25 @@ fn measure_triple<T, S>(
             .expect("block must execute");
     }
     let reused_avg = start.elapsed().as_secs_f64() / blocks as f64;
-    let reused_wakeups = reused.blocks_dispatched() - wakeups_before;
+    let reused_wakeups = reused.dispatches() - wakeups_before;
 
     // Chained: the whole stream is one dispatch — workers stay unparked across
     // every block boundary and pipeline into the successor while the head
     // drains. (The stream repeats the same block; each re-execution reads the
     // previous round's committed state through the frontier, touching the same
     // keys with the same dependency structure, so the per-block engine work is
-    // comparable to the barrier modes.)
+    // comparable to the barrier modes.) The same executor serves both modes.
     let stream: Vec<Vec<T>> = (0..blocks).map(|_| block.to_vec()).collect();
-    let chain = BlockStmBuilder::new(Vm::new(gas))
-        .concurrency(threads)
-        .build_chain();
-    chain
+    reused
         .execute_chain(&stream[..1], storage)
         .expect("warm-up failed");
-    let wakeups_before = chain.chains_dispatched();
+    let wakeups_before = reused.dispatches();
     let start = Instant::now();
-    chain
+    reused
         .execute_chain(&stream, storage)
         .expect("chain must execute");
     let chained_avg = start.elapsed().as_secs_f64() / blocks as f64;
-    let chained_wakeups = chain.chains_dispatched() - wakeups_before;
+    let chained_wakeups = reused.dispatches() - wakeups_before;
 
     for (mode, avg, wakeups, speedup) in [
         ("fresh", fresh_avg, blocks as u64, 1.0),

@@ -8,8 +8,12 @@
 //! **resetting** them instead of reallocating. At the small block sizes of the
 //! paper's Figures 5 and 8 the per-block setup cost (thread spawn/join plus arena
 //! allocation) is a measurable fraction of the block time; the `reuse` benchmark in
-//! `crates/bench` quantifies the win.
+//! `crates/bench` quantifies the win. The same executor also runs whole streams
+//! of blocks in one dispatch ([`execute_chain`](BlockStm::execute_chain),
+//! [`execute_stream`](BlockStm::execute_stream), see `chain.rs`); a single block
+//! runs in the first slot of the same two-slot arena, without a frontier.
 
+use crate::chain::ChainArena;
 use crate::config::ExecutorOptions;
 use crate::errors::{ExecutionError, PanicCollector};
 use crate::executor::BlockExecutor;
@@ -161,22 +165,6 @@ impl BlockStmBuilder {
         self
     }
 
-    /// Builds a [`ChainExecutor`](crate::ChainExecutor): the same engine, pool
-    /// and hooks, but driving a whole *stream* of blocks per dispatch — each
-    /// block speculating against its predecessor's committed prefix through
-    /// the cross-block frontier instead of waiting behind a per-block barrier.
-    pub fn build_chain(self) -> crate::ChainExecutor {
-        let workers = self.options.effective_concurrency();
-        crate::ChainExecutor {
-            vm: self.vm,
-            pool: WorkerPool::new(workers.saturating_sub(1)),
-            options: self.options,
-            sinks: self.sinks,
-            limiter: self.limiter,
-            state: Mutex::new(None),
-        }
-    }
-
     /// Builds the executor: spawns the persistent worker pool (threads park until the
     /// first block arrives) and prepares the reusable per-block state.
     pub fn build(self) -> BlockStm {
@@ -206,20 +194,20 @@ impl BlockStmBuilder {
 /// A panicking transaction does not unwind through the engine: the block fails with
 /// [`ExecutionError::WorkerPanic`] and the executor stays usable.
 pub struct BlockStm {
-    vm: Vm,
-    options: ExecutorOptions,
-    pool: WorkerPool,
+    pub(crate) vm: Vm,
+    pub(crate) options: ExecutorOptions,
+    pub(crate) pool: WorkerPool,
     /// Streaming consumers of the committed prefix (type-erased; see
     /// [`BlockStmBuilder::commit_sink`]). Every sink sees every commit event,
     /// in attach order.
-    sinks: Vec<Arc<dyn ErasedCommitSink>>,
+    pub(crate) sinks: Vec<Arc<dyn ErasedCommitSink>>,
     /// In-order admission control over the committed prefix, if attached
     /// (type-erased; see [`BlockStmBuilder::block_limiter`]).
-    limiter: Option<Arc<dyn ErasedBlockLimiter>>,
-    /// Reusable per-block state, type-erased so one executor can serve any
+    pub(crate) limiter: Option<Arc<dyn ErasedBlockLimiter>>,
+    /// The reusable `ChainArena`, type-erased so one executor can serve any
     /// `(Key, Value)` pair; in a real deployment the pair never changes, so the
-    /// downcast always hits and the arena is reused block after block.
-    state: Mutex<Option<Box<dyn Any + Send>>>,
+    /// downcast always hits and the arena is reused call after call.
+    pub(crate) state: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Debug for BlockStm {
@@ -258,8 +246,12 @@ impl BlockStm {
         self.pool.thread_count() + 1
     }
 
-    /// Number of blocks dispatched onto the persistent pool so far (diagnostics).
-    pub fn blocks_dispatched(&self) -> u64 {
+    /// Number of dispatches onto the persistent pool so far (diagnostics): one
+    /// per non-empty [`execute_block`](Self::execute_block) and one per
+    /// [`execute_chain`](Self::execute_chain) or
+    /// [`execute_stream`](Self::execute_stream) call, however many blocks it
+    /// carries — workers are unparked once per dispatch.
+    pub fn dispatches(&self) -> u64 {
         self.pool.epochs_run()
     }
 
@@ -306,7 +298,11 @@ impl BlockStm {
         }
 
         let mut guard = self.state.lock();
-        let state = EngineState::<T::Key, T::Value>::prepare(&mut guard, num_txns);
+        // A single block runs in the chain arena's first slot, without a
+        // frontier (a chain call invalidates the slot generations it finds).
+        let arena = ChainArena::<T::Key, T::Value>::prepare(&mut guard);
+        let state = &mut arena.slots[0].get_mut().state;
+        state.reset(num_txns);
         state.metrics.record_block(num_txns);
         for sink in sinks {
             sink.begin_block(num_txns);
@@ -331,8 +327,38 @@ impl BlockStm {
             frontier: None,
             abort_count: &state.abort_count,
         };
+        let no_abort = AtomicBool::new(false);
         let job = |_worker_index: usize| {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| worker.run())) {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                // One location cache per worker per block: every location is
+                // resolved against the sharded interner at most once. It dies
+                // with the job, before the next `MVMemory::reset`, which
+                // requires every cell handle to be dropped.
+                let cache = RefCell::new(LocationCache::new());
+                let mut backoff = Backoff::new();
+                // An unbounded stint returns only when the block is done or on
+                // an empty poll. Blocks execute in milliseconds, so poll again —
+                // but with a bounded spin that degrades to yielding, so an
+                // oversubscribed host does not burn a core busy-waiting.
+                loop {
+                    let (done, progressed) = worker.run_stint(usize::MAX, &no_abort, &cache);
+                    if done {
+                        break;
+                    }
+                    if progressed {
+                        backoff.reset();
+                    }
+                    if backoff.will_yield() {
+                        worker.metrics.record_scheduler_yield();
+                    }
+                    backoff.snooze();
+                }
+                // The block is done (or halted): drain whatever the ladder
+                // committed, waiting for the lock so nothing is left behind.
+                worker.drain_commits(true);
+                worker.record_location_cache(cache);
+            }));
+            if let Err(payload) = outcome {
                 // Contain the panic: release every other worker, record what
                 // happened, and let `execute_block` report a typed error. The dirty
                 // per-block state is fully reset before the next block.
@@ -483,30 +509,11 @@ where
         *self.commit_drain.get_mut() = DrainState::default();
         *self.abort_count.get_mut() = 0;
     }
-
-    /// Fetches the executor's arena for this `(K, V)` pair out of the type-erased
-    /// slot, resetting it for `num_txns` transactions — or builds a fresh one on
-    /// first use (or if the executor is suddenly driven with a different state
-    /// model).
-    fn prepare(slot: &mut Option<Box<dyn Any + Send>>, num_txns: usize) -> &mut Self {
-        let reusable = matches!(slot, Some(state) if state.is::<Self>());
-        if !reusable {
-            *slot = Some(Box::new(Self::new(num_txns)));
-        }
-        let state = slot
-            .as_mut()
-            .and_then(|state| state.downcast_mut::<Self>())
-            .expect("slot was just populated with an EngineState of this type");
-        if reusable {
-            state.reset(num_txns);
-        }
-        state
-    }
 }
 
 /// Per-block shared context of the worker threads. `Copy`-able by reference only; all
-/// fields are shared state borrowed from [`BlockStm::execute_block`] (or, in chained
-/// execution, from one slot of the `ChainExecutor`'s ping-pong arena).
+/// fields are shared state borrowed from one slot of the executor's two-slot
+/// `ChainArena` (slot 0, without a frontier, for [`BlockStm::execute_block`]).
 pub(crate) struct Worker<'a, T: Transaction, S> {
     pub(crate) vm: &'a Vm,
     pub(crate) options: &'a ExecutorOptions,
@@ -542,139 +549,78 @@ where
     T: Transaction,
     S: Storage<T::Key, T::Value>,
 {
-    /// The thread main loop (`run()`, Algorithm 1 Lines 1–9): keep performing tasks,
-    /// chaining directly into any follow-up task the scheduler hands back, until the
-    /// scheduler reports completion.
-    ///
-    /// Idle polling is bounded: a worker that repeatedly finds no ready task spins
-    /// briefly, then escalates to `thread::yield_now` through [`Backoff`] so an
-    /// oversubscribed host (e.g. a 1-CPU CI box running more workers than cores)
-    /// does not burn a core busy-waiting. Yield fallbacks are recorded in the
-    /// metrics.
-    ///
-    /// Each worker owns a [`LocationCache`] for the duration of the block: every
-    /// location it touches is resolved against the multi-version memory's sharded
-    /// interner at most once, and all later reads/writes of that location go
-    /// straight to the lock-free cell. The cache dies with the block (before
-    /// `MVMemory::reset`, which requires all cell handles to be dropped), flushing
-    /// its hit/miss counters into the shared metrics on the way out.
-    fn run(&self) {
-        let cache = RefCell::new(LocationCache::new());
-        let mut task: Option<Task> = None;
-        let mut backoff = Backoff::new();
-        let mut drained_seen = 0usize;
-        while !self.scheduler.done() {
-            task = match task {
-                Some(Task {
-                    version,
-                    kind: TaskKind::Execution,
-                    ..
-                }) => self.try_execute(version, &cache),
-                Some(
-                    validation @ Task {
-                        kind: TaskKind::Validation,
-                        ..
-                    },
-                ) => self.needs_reexecution(validation),
-                None => {
-                    let next = self.scheduler.next_task();
-                    if next.is_none() {
-                        // No ready task right now; other threads may still create
-                        // some. Blocks execute in milliseconds, so poll — but with a
-                        // bounded spin that degrades to yielding.
-                        self.metrics.record_scheduler_poll();
-                        if backoff.will_yield() {
-                            self.metrics.record_scheduler_yield();
-                        }
-                        backoff.snooze();
-                    } else {
-                        backoff.reset();
-                    }
-                    next
-                }
-            };
-            // Opportunistic drain, gated on ladder movement: one lock-free
-            // watermark load per iteration, and a drain attempt only when the
-            // ladder advanced past what this worker last observed. The cursor
-            // advances only when the drain actually ran — a failed try_lock must
-            // not mark the new prefix as seen, or a commit landing just as the
-            // current drainer exits would sit undelivered until the next ladder
-            // movement.
-            let watermark = self.scheduler.committed_prefix();
-            if watermark > drained_seen {
-                if let Some(drained) = self.drain_commits(false) {
-                    drained_seen = drained;
-                }
-            }
-        }
-        // The block is done (or halted): drain whatever the ladder committed,
-        // waiting for the lock so nothing is left behind.
-        self.drain_commits(true);
-        let stats = cache.borrow().stats();
-        self.metrics
-            .record_location_cache(stats.hits, stats.interner_hits, stats.interner_misses);
-    }
-
-    /// Chained execution's bounded slice of [`run`](Self::run): performs up to
-    /// `budget` task-loop iterations against this worker's block, then returns
-    /// control to the chain loop (which may switch the worker to another block
-    /// of the chain, or let the slot be recycled). Unlike `run`, an empty poll
-    /// does not spin here — the chain loop has better things to try (the other
-    /// in-flight block) and owns the idle backoff.
-    ///
-    /// The per-stint [`LocationCache`] is deliberately scoped to the stint: it
-    /// holds handles into this slot's multi-version cells, which must all be
-    /// dropped before the slot can be reset for a later block of the chain.
+    /// The thread main loop (`run()`, Algorithm 1 Lines 1–9), bounded: claims
+    /// and [`perform`](Self::perform)s tasks until `budget` task-loop
+    /// iterations have run, the block's scheduler reports completion, `abort`
+    /// is raised, or a poll finds no ready task. It never spins: the caller
+    /// owns the idle policy and the [`LocationCache`]. `execute_block` runs an
+    /// unbounded stint with one cache per worker per block; the chain runs
+    /// bounded stints with one cache per stint, because a cache holds handles
+    /// into its slot's multi-version cells, which must all be dropped before
+    /// the slot can be reset for a later block.
     ///
     /// Returns `(done, progressed)`: whether the block's scheduler reports
-    /// completion, and whether this stint performed at least one task or drain.
-    pub(crate) fn run_stint(&self, budget: usize, abort: &AtomicBool) -> (bool, bool) {
-        let cache = RefCell::new(LocationCache::new());
-        let mut task: Option<Task> = None;
+    /// completion, and whether this stint performed at least one task.
+    pub(crate) fn run_stint(
+        &self,
+        budget: usize,
+        abort: &AtomicBool,
+        cache: &RefCell<LocationCache<T::Key, T::Value>>,
+    ) -> (bool, bool) {
         let mut drained_seen = 0usize;
-        let mut progressed = false;
         let mut iterations = 0usize;
-        loop {
-            if task.is_none() {
-                // Only exit the loop empty-handed: a claimed task must always be
-                // completed (dropping it would stall the scheduler forever).
-                if iterations >= budget || self.scheduler.done() || abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                task = self.scheduler.next_task();
-                if task.is_none() {
-                    self.metrics.record_scheduler_poll();
-                    break;
-                }
-            }
-            iterations += 1;
-            progressed = true;
-            task = match task {
-                Some(Task {
-                    version,
-                    kind: TaskKind::Execution,
-                    ..
-                }) => self.try_execute(version, &cache),
-                Some(
-                    validation @ Task {
-                        kind: TaskKind::Validation,
-                        ..
-                    },
-                ) => self.needs_reexecution(validation),
-                None => unreachable!("loop invariant: a task is in hand here"),
+        while iterations < budget && !self.scheduler.done() && !abort.load(Ordering::Relaxed) {
+            let Some(task) = self.scheduler.next_task() else {
+                self.metrics.record_scheduler_poll();
+                break;
             };
-            let watermark = self.scheduler.committed_prefix();
-            if watermark > drained_seen {
+            iterations += self.perform(task, cache, &mut drained_seen);
+        }
+        (self.scheduler.done(), iterations > 0)
+    }
+
+    /// Performs one claimed task and every follow-up task the scheduler hands
+    /// back (Algorithm 1 Lines 3–8). A claimed task is always completed:
+    /// dropping it would stall the scheduler forever. Returns the number of
+    /// tasks performed.
+    ///
+    /// After each task, an opportunistic drain gated on ladder movement: one
+    /// lock-free watermark load, and a drain attempt only when the ladder
+    /// advanced past `drained_seen`, what this worker last observed. The
+    /// cursor advances only when the drain actually ran — a failed try_lock
+    /// must not mark the new prefix as seen, or a commit landing just as the
+    /// current drainer exits would sit undelivered until the next ladder
+    /// movement.
+    pub(crate) fn perform(
+        &self,
+        task: Task,
+        cache: &RefCell<LocationCache<T::Key, T::Value>>,
+        drained_seen: &mut usize,
+    ) -> usize {
+        let mut performed = 0;
+        let mut next = Some(task);
+        while let Some(task) = next {
+            next = match task.kind {
+                TaskKind::Execution => self.try_execute(task.version, cache),
+                TaskKind::Validation => self.needs_reexecution(task),
+            };
+            performed += 1;
+            if self.scheduler.committed_prefix() > *drained_seen {
                 if let Some(drained) = self.drain_commits(false) {
-                    progressed = progressed || drained > drained_seen;
-                    drained_seen = drained;
+                    *drained_seen = drained;
                 }
             }
         }
-        let stats = cache.borrow().stats();
+        performed
+    }
+
+    /// Flushes a location cache's hit/miss counters into this block's
+    /// metrics. Taking the cache by value makes its owner flush it exactly
+    /// once.
+    pub(crate) fn record_location_cache(&self, cache: RefCell<LocationCache<T::Key, T::Value>>) {
+        let stats = cache.into_inner().stats();
         self.metrics
             .record_location_cache(stats.hits, stats.interner_hits, stats.interner_misses);
-        (self.scheduler.done(), progressed)
     }
 
     /// The pre-block base of `key` in aggregator form: the cross-block frontier
@@ -1246,7 +1192,7 @@ mod tests {
             storage.apply_updates(output.updates.iter().cloned());
             oracle.apply_updates(expected.updates.iter().cloned());
         }
-        assert_eq!(executor.blocks_dispatched(), 5);
+        assert_eq!(executor.dispatches(), 5);
     }
 
     /// A trivial transaction over a string-valued state model, used to prove one

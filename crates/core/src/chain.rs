@@ -1,13 +1,12 @@
-//! Cross-block pipelining: the [`ChainExecutor`] executes a *chain* of blocks,
-//! not one block at a time.
+//! Cross-block pipelining: [`BlockStm::execute_chain`] executes a *chain* of
+//! blocks, not one block at a time.
 //!
-//! [`BlockStm::execute_block`](crate::BlockStm::execute_block) ends every block
-//! with a barrier: the pool drains, the caller harvests, the next block starts
-//! cold. At realistic block sizes that bubble — the tail of block `N` running on
-//! one or two workers while everyone else idles, followed by a full pool
-//! round-trip — is a measurable fraction of the block time. The chain executor
-//! removes it by keeping **two blocks in flight** on one persistent pool
-//! dispatch:
+//! [`BlockStm::execute_block`] ends every block with a barrier: the pool
+//! drains, the caller harvests, the next block starts cold. At realistic block
+//! sizes that bubble — the tail of block `N` running on one or two workers
+//! while everyone else idles, followed by a full pool round-trip — is a
+//! measurable fraction of the block time. A chain call removes it by keeping
+//! **two blocks in flight** on one persistent pool dispatch:
 //!
 //! - Block `N` runs normally and commits through the rolling ladder; every
 //!   committed write (plain and resolved delta) is published, in commit order,
@@ -24,13 +23,14 @@
 //!
 //! Slots alternate: while blocks `N` and `N+1` occupy the two engine arenas,
 //! the arena of block `N-1` is reset in place for block `N+2`, so a chain of
-//! any length reuses exactly two blocks' worth of allocations.
+//! any length reuses exactly two blocks' worth of allocations. The same two-slot
+//! arena backs [`BlockStm::execute_block`], which runs its block in slot 0.
 //!
 //! # Incremental feeds
 //!
 //! The chain does not require the whole stream up front. Next to
-//! [`execute_chain`](ChainExecutor::execute_chain) (a pre-materialized slice),
-//! [`execute_stream`](ChainExecutor::execute_stream) pulls blocks from a
+//! [`execute_chain`](BlockStm::execute_chain) (a pre-materialized slice),
+//! [`execute_stream`](BlockStm::execute_stream) pulls blocks from a
 //! [`BlockSource`] *while the chain runs*: idle workers poll the source, and a
 //! block that arrives after the previous head already finished is prepared
 //! directly as the new open head (the frontier is frozen at that point, so the
@@ -39,18 +39,19 @@
 //! are formed from a mempool as traffic arrives, and the stream ends only when
 //! the source reports [`BlockFeed::End`].
 
-use crate::block_stm::{EngineState, Worker};
+use crate::block_stm::{BlockStm, EngineState, Worker};
 use crate::config::ExecutorOptions;
 use crate::errors::{ExecutionError, PanicCollector};
 use crate::hooks::{ErasedBlockLimiter, ErasedCommitSink};
 use crate::output::BlockOutput;
 use block_stm_metrics::{ExecutionMetrics, MetricsSnapshot};
-use block_stm_mvmemory::FrontierOverlay;
+use block_stm_mvmemory::{FrontierOverlay, LocationCache};
 use block_stm_storage::Storage;
-use block_stm_sync::{Backoff, WorkerPool};
+use block_stm_sync::Backoff;
 use block_stm_vm::{AggregatorValue, Transaction, Vm};
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
+use std::cell::RefCell;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,7 +82,7 @@ pub enum BlockFeed<T> {
     End,
 }
 
-/// An incremental feed of blocks for [`ChainExecutor::execute_stream`].
+/// An incremental feed of blocks for [`BlockStm::execute_stream`].
 ///
 /// `next_block` is called by chain workers (serialized — never concurrently)
 /// whenever they have pipeline capacity, so an implementation is free to *form*
@@ -141,16 +142,16 @@ where
 /// the block the arena currently belongs to; a worker that locks a slot checks
 /// the generation before touching the state, so a recycled slot is never
 /// mistaken for the block it used to hold.
-struct ChainSlot<K, V> {
+pub(crate) struct ChainSlot<K, V> {
     generation: usize,
-    state: EngineState<K, V>,
+    pub(crate) state: EngineState<K, V>,
 }
 
-/// The reusable chain arena: two engine-state slots plus the chain-level
-/// metrics recorder. Type-erased behind the executor's state mutex exactly like
-/// the single-block arena, and reused chain after chain.
-struct ChainArena<K, V> {
-    slots: [RwLock<ChainSlot<K, V>>; 2],
+/// The executor's reusable arena: two engine-state slots plus the chain-level
+/// metrics recorder. Type-erased behind the executor's state mutex and reused
+/// call after call; a single block borrows slot 0.
+pub(crate) struct ChainArena<K, V> {
+    pub(crate) slots: [RwLock<ChainSlot<K, V>>; 2],
     chain_metrics: ExecutionMetrics,
 }
 
@@ -177,7 +178,7 @@ where
 
     /// Fetches the arena for this `(K, V)` pair out of the type-erased slot —
     /// or builds a fresh one on first use / state-model change.
-    fn prepare(slot: &mut Option<Box<dyn Any + Send>>) -> &mut Self {
+    pub(crate) fn prepare(slot: &mut Option<Box<dyn Any + Send>>) -> &mut Self {
         let reusable = matches!(slot, Some(state) if state.is::<Self>());
         if !reusable {
             *slot = Some(Box::new(Self::new()));
@@ -229,8 +230,8 @@ struct DynamicStore<'a, T> {
 }
 
 /// The chain's view of its input: either a pre-materialized slice
-/// ([`ChainExecutor::execute_chain`]) or an incrementally fetched stream
-/// ([`ChainExecutor::execute_stream`]). All methods are lock-light and safe to
+/// ([`BlockStm::execute_chain`]) or an incrementally fetched stream
+/// ([`BlockStm::execute_stream`]). All methods are lock-light and safe to
 /// call from any worker.
 enum BlockStore<'a, T> {
     Slice(&'a [Vec<T>]),
@@ -377,52 +378,12 @@ impl<K, V> ChainControl<K, V> {
     }
 }
 
-/// The chained (pipelined) Block-STM executor: one persistent pool dispatch
-/// executes a whole stream of blocks back-to-back, with each block speculating
-/// against its predecessor's committed prefix through the cross-block frontier.
-///
-/// Built once via [`BlockStmBuilder::build_chain`](crate::BlockStmBuilder::build_chain)
-/// and reused chain after chain (worker threads park between chains, the
-/// two-slot arena is reset in place). Attached
+/// Chained execution: one persistent pool dispatch executes a whole stream of
+/// blocks back-to-back, with each block speculating against its predecessor's
+/// committed prefix through the cross-block frontier. Attached
 /// [`CommitSink`](crate::CommitSink)s and the
 /// [`BlockLimiter`](crate::BlockLimiter) see blocks strictly in stream order.
-pub struct ChainExecutor {
-    pub(crate) vm: Vm,
-    pub(crate) options: ExecutorOptions,
-    pub(crate) pool: WorkerPool,
-    pub(crate) sinks: Vec<Arc<dyn ErasedCommitSink>>,
-    pub(crate) limiter: Option<Arc<dyn ErasedBlockLimiter>>,
-    pub(crate) state: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl Debug for ChainExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChainExecutor")
-            .field("options", &self.options)
-            .field("pool_threads", &self.pool.thread_count())
-            .finish()
-    }
-}
-
-impl ChainExecutor {
-    /// The configured options.
-    pub fn options(&self) -> &ExecutorOptions {
-        &self.options
-    }
-
-    /// The number of workers that execute a chain, including the calling thread.
-    pub fn concurrency(&self) -> usize {
-        self.pool.thread_count() + 1
-    }
-
-    /// Number of chains dispatched onto the persistent pool so far. One whole
-    /// chain is a single pool epoch — workers are unparked once per chain, not
-    /// once per block (compare [`BlockStm::blocks_dispatched`](crate::BlockStm::blocks_dispatched),
-    /// which grows by one per block).
-    pub fn chains_dispatched(&self) -> u64 {
-        self.pool.epochs_run()
-    }
-
+impl BlockStm {
     /// Executes the stream of `blocks` against the pre-chain `storage`,
     /// pipelining adjacent blocks through the cross-block frontier.
     ///
@@ -447,7 +408,7 @@ impl ChainExecutor {
                 metrics: MetricsSnapshot::default(),
             });
         }
-        self.run(BlockStream::from_slice(blocks), storage)
+        self.run_chain(BlockStream::from_slice(blocks), storage)
     }
 
     /// Executes an *incrementally fed* stream of blocks: blocks are pulled from
@@ -468,10 +429,10 @@ impl ChainExecutor {
         T: Transaction,
         S: Storage<T::Key, T::Value>,
     {
-        self.run(BlockStream::from_source(source), storage)
+        self.run_chain(BlockStream::from_source(source), storage)
     }
 
-    fn run<T, S>(
+    fn run_chain<T, S>(
         &self,
         stream: BlockStream<'_, T>,
         storage: &S,
@@ -598,8 +559,8 @@ impl ChainExecutor {
     }
 }
 
-/// Everything a chain worker borrows for the duration of one `execute_chain`
-/// call. Shared by reference into the pool job.
+/// Everything a chain worker borrows for the duration of one chain call.
+/// Shared by reference into the pool job.
 struct ChainShared<'a, T: Transaction, S> {
     vm: &'a Vm,
     options: &'a ExecutorOptions,
@@ -638,6 +599,19 @@ where
             frontier: Some(self.frontier),
             abort_count: &state.abort_count,
         }
+    }
+
+    /// Runs one bounded stint on block `index`, held in `state`. Its location
+    /// cache is scoped to the stint: it holds handles into this slot's
+    /// multi-version cells, which must all be dropped before the slot can be
+    /// reset for a later block of the chain. Returns `(done, progressed)`.
+    fn stint(&self, state: &EngineState<T::Key, T::Value>, index: usize) -> (bool, bool) {
+        let block = self.stream.block(index);
+        let worker = self.worker_over(state, &block);
+        let cache = RefCell::new(LocationCache::new());
+        let outcome = worker.run_stint(STINT_BUDGET, &self.control.failed, &cache);
+        worker.record_location_cache(cache);
+        outcome
     }
 
     /// Calls `begin_block` on every sink and the limiter — the stream-order
@@ -726,9 +700,7 @@ where
             if let Some(slot) = self.arena.slots[head % 2].try_read() {
                 if slot.generation == head {
                     let publications_before = self.frontier.publications();
-                    let block = self.stream.block(head);
-                    let worker = self.worker_over(&slot.state, &block);
-                    let (done, stint_progressed) = worker.run_stint(STINT_BUDGET, &control.failed);
+                    let (done, stint_progressed) = self.stint(&slot.state, head);
                     head_done = done;
                     progressed |= stint_progressed;
                     if self.frontier.publications() > publications_before {
@@ -752,9 +724,7 @@ where
                 // No work on the head: speculate on the gated successor.
                 if let Some(slot) = self.arena.slots[(head + 1) % 2].try_read() {
                     if slot.generation == head + 1 {
-                        let block = self.stream.block(head + 1);
-                        let worker = self.worker_over(&slot.state, &block);
-                        let (_, stint_progressed) = worker.run_stint(STINT_BUDGET, &control.failed);
+                        let (_, stint_progressed) = self.stint(&slot.state, head + 1);
                         progressed |= stint_progressed;
                     }
                 }
@@ -995,7 +965,7 @@ mod tests {
     ) -> ChainOutput<u64, u64> {
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(threads)
-            .build_chain();
+            .build();
         let chained = chain.execute_chain(blocks, storage).unwrap();
         let (reference, _) = barrier_reference(blocks, storage, threads);
         assert_eq!(chained.blocks.len(), reference.len());
@@ -1020,7 +990,7 @@ mod tests {
 
     #[test]
     fn empty_chain() {
-        let chain = BlockStmBuilder::new(Vm::for_testing()).build_chain();
+        let chain = BlockStmBuilder::new(Vm::for_testing()).build();
         let storage = storage_with_keys(1);
         let output = chain
             .execute_chain::<SyntheticTransaction, _>(&[], &storage)
@@ -1086,7 +1056,7 @@ mod tests {
             .collect();
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(4)
-            .build_chain();
+            .build();
         let chained = chain.execute_chain(&blocks, &storage).unwrap();
         let (outputs, _) = barrier_reference(&blocks, &storage, 4);
         // The net updates must equal folding every block's updates in order.
@@ -1122,7 +1092,7 @@ mod tests {
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(4)
             .block_limiter::<u64, u64>(limit.clone())
-            .build_chain();
+            .build();
         let chained = chain.execute_chain(&blocks, &storage).unwrap();
 
         let barrier = BlockStmBuilder::new(Vm::for_testing())
@@ -1158,7 +1128,7 @@ mod tests {
             .collect();
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(2)
-            .build_chain();
+            .build();
         let output = chain.execute_chain(&blocks, &storage).unwrap();
         assert_eq!(output.metrics.chain_blocks, 6);
         // One mandatory pre-gate-open sweep per handoff with a successor.
@@ -1178,11 +1148,11 @@ mod tests {
             .collect();
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(4)
-            .build_chain();
+            .build();
         let first = chain.execute_chain(&blocks, &storage).unwrap();
         let second = chain.execute_chain(&blocks, &storage).unwrap();
         assert_eq!(first.updates, second.updates);
-        assert_eq!(chain.chains_dispatched(), 2);
+        assert_eq!(chain.dispatches(), 2);
     }
 
     #[test]
@@ -1243,7 +1213,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let chain = BlockStmBuilder::new(Vm::for_testing())
                 .concurrency(threads)
-                .build_chain();
+                .build();
             let source = DribbleSource {
                 blocks: Mutex::new(blocks.iter().cloned().collect()),
                 calls: AtomicUsize::new(0),
@@ -1278,7 +1248,7 @@ mod tests {
         };
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(2)
-            .build_chain();
+            .build();
         let output = chain.execute_stream(&source, &storage).unwrap();
         assert_eq!(output.num_blocks(), 4);
         assert_eq!(output.total_txns(), 32);
@@ -1286,7 +1256,7 @@ mod tests {
 
     #[test]
     fn empty_stream_returns_no_blocks() {
-        let chain = BlockStmBuilder::new(Vm::for_testing()).build_chain();
+        let chain = BlockStmBuilder::new(Vm::for_testing()).build();
         let storage = storage_with_keys(1);
         let source = || BlockFeed::<SyntheticTransaction>::End;
         let output = chain.execute_stream(&source, &storage).unwrap();
@@ -1314,7 +1284,7 @@ mod tests {
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(2)
             .block_limiter::<u64, u64>(Arc::new(BlockGasLimit::new(budget)))
-            .build_chain();
+            .build();
         let source = DribbleSource {
             blocks: Mutex::new(blocks.iter().cloned().collect()),
             calls: AtomicUsize::new(0),
@@ -1359,7 +1329,7 @@ mod tests {
             vec![(0..8).map(|_| PanickingTxn { panics: false }).collect()];
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(2)
-            .build_chain();
+            .build();
         let err = chain.execute_chain(&bad, &storage).unwrap_err();
         match &err {
             ExecutionError::WorkerPanic { workers, detail } => {

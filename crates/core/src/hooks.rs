@@ -59,7 +59,7 @@ impl<K, V> CommitEvent<'_, K, V> {
 /// `Send + Sync` and should be quick (a slow sink delays the drain, not correctness).
 ///
 /// Per block, a sink sees exactly this sequence, with nothing from another block
-/// interleaved (on `BlockStm::execute_block` and `ChainExecutor` streams alike):
+/// interleaved (on `BlockStm::execute_block` and chained streams alike):
 ///
 /// ```text
 /// begin_block(n)   on_commit(0) … on_commit(m - 1)   end_block(m)

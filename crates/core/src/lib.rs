@@ -121,8 +121,9 @@
 //!
 //! ## Chained execution: pipelining across blocks
 //!
-//! [`BlockStmBuilder::build_chain`] returns a [`ChainExecutor`] that executes a
-//! whole *stream* of blocks in one worker-pool dispatch: as block `N`'s commit
+//! [`BlockStm::execute_chain`] (and [`BlockStm::execute_stream`], which pulls
+//! blocks from a [`BlockSource`]) executes a whole *stream* of blocks in one
+//! worker-pool dispatch of the same executor: as block `N`'s commit
 //! ladder drains, its committed writes are published to a cross-block frontier
 //! overlay and idle workers pipeline into block `N+1`, speculating against it.
 //! A commit gate holds block `N+1`'s commits until block `N` has fully
@@ -159,7 +160,9 @@
 //! * [`BlockExecutor`] — the engine-agnostic interface every engine implements.
 //! * [`BlockStm`] / [`BlockStmBuilder`] — the Block-STM engine (Algorithm 1 wiring of
 //!   the scheduler, multi-version memory and VM) with its persistent worker pool.
-//! * [`ChainExecutor`] / [`ChainOutput`] — cross-block pipelining: a stream of
+//!   One block, a slice of blocks or a live [`BlockSource`] feed: every entry
+//!   point shares one arena and one worker task loop.
+//! * [`ChainOutput`] / [`BlockFeed`] — cross-block pipelining: a stream of
 //!   blocks executed back-to-back on one pool dispatch, speculating through the
 //!   cross-block frontier.
 //! * [`CommitSink`] / [`BlockLimiter`] / [`BlockGasLimit`] — streaming hooks over the
@@ -204,7 +207,7 @@ mod view;
 
 pub use adaptive::{AdaptiveDecision, AdaptiveExecutor, AdaptiveExecutorBuilder, EngineChoice};
 pub use block_stm::{BlockStm, BlockStmBuilder};
-pub use chain::{BlockFeed, BlockSource, ChainExecutor, ChainOutput};
+pub use chain::{BlockFeed, BlockSource, ChainOutput};
 pub use config::ExecutorOptions;
 pub use errors::{ExecutionError, PanicCollector};
 pub use executor::BlockExecutor;

@@ -1,6 +1,6 @@
 //! The cross-block frontier overlay for chained execution.
 //!
-//! When a `ChainExecutor` runs blocks back-to-back, block `N+1` begins
+//! When `BlockStm::execute_chain` runs blocks back-to-back, block `N+1` begins
 //! speculating while block `N` is still committing. Block `N+1`'s reads that
 //! fall through its own multi-version map must observe the **latest committed
 //! value across all predecessor blocks**, falling through to the immutable

@@ -12,14 +12,14 @@
 //! node [--workload eth|erc20] [--accounts N] [--txns N]
 //!      [--arrival fixed:<tps>|burst:<size>:<interval_ms>]
 //!      [--threads N] [--block-txns N] [--max-wait-ms N] [--mempool N]
-//!      [--engine chained|adaptive] [--snapshot-ms N]
+//!      [--snapshot-ms N|--no-snapshots]
 //! ```
 //!
 //! Exit status is non-zero if any transaction failed to commit exactly once
 //! or the conservation oracle rejects the committed stream.
 
 use block_stm::Vm;
-use block_stm_node::{EngineMode, Node, NodeError};
+use block_stm_node::{Node, NodeError};
 use block_stm_storage::{AccessPath, InMemoryStorage, StateValue};
 use block_stm_vm::Transaction;
 use block_stm_workloads::accounts::AccountTransaction;
@@ -35,7 +35,6 @@ struct Options {
     block_txns: usize,
     max_wait: Duration,
     mempool: usize,
-    engine: EngineMode,
     snapshot_every: Option<Duration>,
 }
 
@@ -50,7 +49,6 @@ impl Default for Options {
             block_txns: 512,
             max_wait: Duration::from_millis(10),
             mempool: 8192,
-            engine: EngineMode::Chained,
             snapshot_every: Some(Duration::from_secs(1)),
         }
     }
@@ -61,7 +59,7 @@ fn usage() -> ! {
         "usage: node [--workload eth|erc20] [--accounts N] [--txns N] \
          [--arrival fixed:<tps>|burst:<size>:<interval_ms>] [--threads N] \
          [--block-txns N] [--max-wait-ms N] [--mempool N] \
-         [--engine chained|adaptive] [--snapshot-ms N|--no-snapshots]"
+         [--snapshot-ms N|--no-snapshots]"
     );
     std::process::exit(2);
 }
@@ -105,13 +103,6 @@ fn parse_options() -> Options {
                     Duration::from_millis(value(&mut args).parse().unwrap_or_else(|_| usage()))
             }
             "--mempool" => options.mempool = value(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--engine" => {
-                options.engine = match value(&mut args).as_str() {
-                    "chained" => EngineMode::Chained,
-                    "adaptive" => EngineMode::Adaptive,
-                    _ => usage(),
-                }
-            }
             "--snapshot-ms" => {
                 options.snapshot_every = Some(Duration::from_millis(
                     value(&mut args).parse().unwrap_or_else(|_| usage()),
@@ -138,8 +129,7 @@ where
     let mut builder = Node::builder(Vm::for_testing(), genesis.clone())
         .mempool_capacity(options.mempool)
         .max_block_txns(options.block_txns)
-        .max_wait(options.max_wait)
-        .engine(options.engine);
+        .max_wait(options.max_wait);
     if let Some(threads) = options.threads {
         builder = builder.concurrency(threads);
     }

@@ -11,7 +11,7 @@
 //!   age of the oldest waiter, or estimated gas (reusing the engine's
 //!   [`BlockGasLimit`](block_stm::BlockGasLimit) accounting), and
 //! * a **continuous execution loop**: one
-//!   [`ChainExecutor::execute_stream`](block_stm::ChainExecutor::execute_stream)
+//!   [`BlockStm::execute_stream`](block_stm::BlockStm::execute_stream)
 //!   dispatch whose block source *is* the former, so forming the next block
 //!   overlaps with executing the current one and freshly cut blocks enter the
 //!   chain's cross-block run-ahead pipeline directly.
@@ -67,6 +67,6 @@ mod service;
 pub use former::GasEstimator;
 pub use mempool::SubmitError;
 pub use service::{
-    DurabilitySink, EngineMode, Node, NodeBuilder, NodeError, NodeHandle, NodeReport, NodeSnapshot,
+    DurabilitySink, Node, NodeBuilder, NodeError, NodeHandle, NodeReport, NodeSnapshot,
     SnapshotCallback,
 };

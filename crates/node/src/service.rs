@@ -6,15 +6,12 @@
 //! * a [`BlockFormer`](crate::former) cut policy (count / age / gas), and
 //! * an executor thread that runs the formed blocks continuously.
 //!
-//! In the default [`EngineMode::Chained`] the executor thread makes a single
-//! [`ChainExecutor::execute_stream`] dispatch whose [`BlockSource`] *is* the
-//! block former: idle engine workers poll the source, so block formation and
-//! execution overlap and a block cut while block `k` executes becomes block
-//! `k+1`'s run-ahead work. Commit sinks (including a durability sink) stream
-//! the committed prefix in preset order exactly as in a one-shot chain
-//! dispatch. [`EngineMode::Adaptive`] instead runs each formed block through
-//! an [`AdaptiveExecutor`] with a barrier between blocks — per-block engine
-//! selection, but no cross-block pipelining and no commit sinks.
+//! The executor thread makes a single [`BlockStm::execute_stream`] dispatch
+//! whose [`BlockSource`] *is* the block former: idle engine workers poll the
+//! source, so block formation and execution overlap and a block cut while
+//! block `k` executes becomes block `k+1`'s run-ahead work. Commit sinks
+//! (including a durability sink) stream the committed prefix in preset order
+//! exactly as in a one-shot chain dispatch.
 //!
 //! # Shutdown and drain ordering
 //!
@@ -41,20 +38,20 @@
 //!
 //! [`BlockFeed::End`]: block_stm::BlockFeed::End
 //! [`BlockSource`]: block_stm::BlockSource
-//! [`ChainExecutor::execute_stream`]: block_stm::ChainExecutor::execute_stream
+//! [`BlockStm::execute_stream`]: block_stm::BlockStm::execute_stream
 
 use crate::former::{BlockFormer, FormOutcome, FormedBlock, GasEstimator};
 use crate::mempool::{Mempool, SubmitError};
 use block_stm::{
-    AdaptiveExecutor, BlockFeed, BlockGasLimit, BlockLimiter, BlockOutput, BlockSource,
-    BlockStmBuilder, CommitEvent, CommitSink, ExecutionError, MetricsSnapshot, Transaction, Vm,
+    BlockFeed, BlockGasLimit, BlockLimiter, BlockOutput, BlockSource, BlockStmBuilder, ChainOutput,
+    CommitEvent, CommitSink, ExecutionError, MetricsSnapshot, Transaction, Vm,
 };
 use block_stm_metrics::{LatencyHistogram, LatencySummary};
 use block_stm_persist::{PersistCodec, SyncPersistSink, WriteBehindSink};
 use block_stm_storage::InMemoryStorage;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,25 +59,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the adaptive executor thread sleeps between forming attempts when
-/// nothing is due (the chained engine instead backs off inside its worker
-/// loop, so it needs no poll interval here).
-const IDLE_POLL: Duration = Duration::from_micros(200);
-
 fn micros(duration: Duration) -> u64 {
     duration.as_micros().min(u64::MAX as u128) as u64
-}
-
-/// Which execution engine the node's executor thread drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// One [`ChainExecutor`](block_stm::ChainExecutor) stream dispatch:
-    /// cross-block pipelining, commit sinks and durability supported.
-    Chained,
-    /// Per-block [`AdaptiveExecutor`] dispatch with barriers between blocks:
-    /// adaptive engine selection, but no sinks (the adaptive executor has no
-    /// commit-streaming surface), so durability cannot be attached.
-    Adaptive,
 }
 
 /// Errors surfaced by the node API.
@@ -93,12 +73,6 @@ pub enum NodeError {
     },
     /// The node is shutting down; no new submissions are accepted.
     MempoolClosed,
-    /// The node was configured inconsistently (e.g. sinks on the adaptive
-    /// engine).
-    Config {
-        /// What was wrong.
-        detail: String,
-    },
     /// The execution engine failed.
     Execution(ExecutionError),
     /// The durability sink reported an I/O failure.
@@ -130,7 +104,6 @@ impl fmt::Display for NodeError {
                 write!(f, "mempool full (capacity {capacity})")
             }
             NodeError::MempoolClosed => write!(f, "mempool closed"),
-            NodeError::Config { detail } => write!(f, "invalid node configuration: {detail}"),
             NodeError::Execution(err) => write!(f, "execution failed: {err}"),
             NodeError::Durability { detail } => write!(f, "durability failure: {detail}"),
             NodeError::SinkStalled {
@@ -209,16 +182,15 @@ pub struct NodeSnapshot {
     pub formed_blocks: u64,
     /// Transactions across all formed blocks.
     pub formed_txns: u64,
-    /// Transactions committed by the engine (delivered to sinks in chained
-    /// mode; per-block output size in adaptive mode).
+    /// Transactions committed by the engine (commit events delivered to the
+    /// node's own sink).
     pub committed_txns: u64,
     /// Ingest→formed latency distribution, microseconds.
     pub ingest_to_formed_us: LatencySummary,
     /// Ingest→committed latency distribution, microseconds.
     pub ingest_to_committed_us: LatencySummary,
-    /// Engine metrics. Live per-block in adaptive mode; in chained mode the
-    /// stream dispatch reports once at completion, so mid-run dumps show the
-    /// previous dispatch (zeros before the first completes).
+    /// Engine metrics. The stream dispatch reports once at completion, so
+    /// mid-run dumps show zeros.
     pub engine: MetricsSnapshot,
 }
 
@@ -247,8 +219,7 @@ pub struct NodeReport<T: Transaction> {
     /// Net committed state updates across the whole run, sorted by key.
     pub updates: Vec<(T::Key, T::Value)>,
     /// `(submit_id, times_committed)` sorted by id — the exactly-once audit
-    /// trail (chained mode counts sink deliveries; adaptive counts per-block
-    /// outputs).
+    /// trail (counts commit-event deliveries).
     pub commit_counts: Vec<(u64, u64)>,
     /// The durability sink's final watermark, if one was attached.
     pub durable_watermark: Option<u64>,
@@ -293,7 +264,6 @@ struct NodeShared<T: Transaction> {
     pending_meta: Mutex<VecDeque<BlockMeta>>,
     formed_log: Mutex<Vec<Vec<T>>>,
     retain_blocks: bool,
-    track_meta: bool,
 }
 
 impl<T: Transaction + Clone> NodeShared<T> {
@@ -327,33 +297,21 @@ impl<T: Transaction + Clone> NodeShared<T> {
                 histogram.record(micros(now.saturating_duration_since(*arrived)));
             }
         }
-        if self.track_meta {
-            self.pending_meta.lock().push_back(BlockMeta {
-                ids: block.ids.clone(),
-                arrivals: block.arrivals.clone(),
-            });
-        }
+        self.pending_meta.lock().push_back(BlockMeta {
+            ids: block.ids.clone(),
+            arrivals: block.arrivals.clone(),
+        });
         if self.retain_blocks {
             self.formed_log.lock().push(block.txns.clone());
         }
     }
 
-    fn note_committed(&self, ids: &[u64], arrivals: &[Instant], done: Instant) {
-        {
-            let mut histogram = self.ingest_to_committed.lock();
-            for arrived in arrivals {
-                histogram.record(micros(done.saturating_duration_since(*arrived)));
-            }
-        }
-        {
-            let mut counts = self.commit_counts.lock();
-            for id in ids {
-                *counts.entry(*id).or_insert(0) += 1;
-            }
-        }
-        self.counters
-            .committed_txns
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+    fn note_committed(&self, id: u64, arrived: Instant, done: Instant) {
+        self.ingest_to_committed
+            .lock()
+            .record(micros(done.saturating_duration_since(arrived)));
+        *self.commit_counts.lock().entry(id).or_insert(0) += 1;
+        self.counters.committed_txns.fetch_add(1, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> NodeSnapshot {
@@ -372,7 +330,7 @@ impl<T: Transaction + Clone> NodeShared<T> {
     }
 }
 
-/// The chained engine's [`BlockSource`]: every poll is a forming attempt.
+/// The engine's [`BlockSource`]: every poll is a forming attempt.
 struct ChainSource<T: Transaction> {
     shared: Arc<NodeShared<T>>,
     former: BlockFormer<T>,
@@ -391,7 +349,7 @@ impl<T: Transaction + Clone> BlockSource<T> for ChainSource<T> {
     }
 }
 
-/// The node's own commit sink (chained mode): matches commit deliveries with
+/// The node's own commit sink: matches commit deliveries with
 /// the per-block metadata queued at forming time, recording ingest→committed
 /// latencies and the exactly-once audit counts.
 struct LatencySink<T: Transaction> {
@@ -415,11 +373,7 @@ impl<T: Transaction + Clone> CommitSink<T::Key, T::Value> for LatencySink<T> {
                 meta.ids.get(event.txn_idx),
                 meta.arrivals.get(event.txn_idx),
             ) {
-                self.shared.note_committed(
-                    std::slice::from_ref(id),
-                    std::slice::from_ref(arrived),
-                    now,
-                );
+                self.shared.note_committed(*id, *arrived, now);
                 return;
             }
         }
@@ -431,14 +385,8 @@ impl<T: Transaction + Clone> CommitSink<T::Key, T::Value> for LatencySink<T> {
     }
 }
 
-struct ExecutionBundle<K, V> {
-    outputs: Vec<BlockOutput<K, V>>,
-    updates: Vec<(K, V)>,
-    metrics: MetricsSnapshot,
-}
-
 type Outcome<T> =
-    Result<ExecutionBundle<<T as Transaction>::Key, <T as Transaction>::Value>, ExecutionError>;
+    Result<ChainOutput<<T as Transaction>::Key, <T as Transaction>::Value>, ExecutionError>;
 
 /// Callback invoked with each periodic snapshot.
 pub type SnapshotCallback = Arc<dyn Fn(&NodeSnapshot) + Send + Sync>;
@@ -453,7 +401,6 @@ pub struct NodeBuilder<T: Transaction + Clone + 'static> {
     max_wait: Duration,
     gas_budget: Option<u64>,
     estimator: GasEstimator<T>,
-    engine: EngineMode,
     sinks: Vec<Arc<dyn CommitSink<T::Key, T::Value>>>,
     durability: Option<Arc<dyn DurabilitySink<T::Key, T::Value>>>,
     snapshot_every: Option<Duration>,
@@ -473,7 +420,6 @@ impl<T: Transaction + Clone + 'static> NodeBuilder<T> {
             max_wait: Duration::from_millis(10),
             gas_budget: None,
             estimator: Arc::new(|_| 1),
-            engine: EngineMode::Chained,
             sinks: Vec::new(),
             durability: None,
             snapshot_every: None,
@@ -519,19 +465,13 @@ impl<T: Transaction + Clone + 'static> NodeBuilder<T> {
         self
     }
 
-    /// Selects the execution engine (default [`EngineMode::Chained`]).
-    pub fn engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Attaches a commit sink (chained mode only).
+    /// Attaches a commit sink.
     pub fn commit_sink(mut self, sink: Arc<dyn CommitSink<T::Key, T::Value>>) -> Self {
         self.sinks.push(sink);
         self
     }
 
-    /// Attaches a durability sink (chained mode only): it receives the
+    /// Attaches a durability sink: it receives the
     /// committed stream like any sink, and shutdown runs its barrier and
     /// audits the watermark against the committed count.
     pub fn durability(mut self, sink: Arc<dyn DurabilitySink<T::Key, T::Value>>) -> Self {
@@ -562,17 +502,6 @@ impl<T: Transaction + Clone + 'static> NodeBuilder<T> {
 
     /// Validates the configuration and starts the node's threads.
     pub fn start(self) -> Result<Node<T>, NodeError> {
-        if self.engine == EngineMode::Adaptive && !self.sinks.is_empty() {
-            return Err(NodeError::Config {
-                detail: "commit sinks require the chained engine".into(),
-            });
-        }
-        if self.engine == EngineMode::Adaptive && self.durability.is_some() {
-            return Err(NodeError::Config {
-                detail: "durability requires the chained engine".into(),
-            });
-        }
-
         let shared = Arc::new(NodeShared {
             mempool: Mempool::new(self.mempool_capacity),
             counters: Counters::default(),
@@ -584,7 +513,6 @@ impl<T: Transaction + Clone + 'static> NodeBuilder<T> {
             pending_meta: Mutex::new(VecDeque::new()),
             formed_log: Mutex::new(Vec::new()),
             retain_blocks: self.retain_blocks,
-            track_meta: self.engine == EngineMode::Chained,
         });
 
         // Baseline the watermark before any block commits: genesis ingestion
@@ -606,30 +534,43 @@ impl<T: Transaction + Clone + 'static> NodeBuilder<T> {
             estimator: self.estimator,
         };
 
-        let outcome: Arc<Mutex<Option<Outcome<T>>>> = Arc::new(Mutex::new(None));
-        let executor = match self.engine {
-            EngineMode::Chained => spawn_chained(
-                self.vm,
-                self.storage,
-                self.concurrency,
-                self.sinks,
-                self.durability.clone(),
-                shared.clone(),
-                former,
-                outcome.clone(),
-            ),
-            EngineMode::Adaptive => spawn_adaptive(
-                self.vm,
-                self.storage,
-                self.concurrency,
-                shared.clone(),
-                former,
-                outcome.clone(),
-            ),
+        // The node's own latency sink sees every commit first, then the
+        // user's sinks, then the durability sink.
+        let mut engine = BlockStmBuilder::new(self.vm).commit_sink(Arc::new(LatencySink {
+            shared: shared.clone(),
+            current: Mutex::new(None),
+        })
+            as Arc<dyn CommitSink<T::Key, T::Value>>);
+        if let Some(concurrency) = self.concurrency {
+            engine = engine.concurrency(concurrency);
         }
-        .map_err(|err| NodeError::Internal {
-            detail: format!("failed to spawn executor thread: {err}"),
-        })?;
+        for sink in self.sinks {
+            engine = engine.commit_sink(sink);
+        }
+        if let Some(durable) = self.durability.clone() {
+            engine = engine.commit_sink(
+                Arc::new(ForwardSink(durable)) as Arc<dyn CommitSink<T::Key, T::Value>>
+            );
+        }
+        let source = ChainSource {
+            shared: shared.clone(),
+            former,
+        };
+        let storage = self.storage;
+        let outcome: Arc<Mutex<Option<Outcome<T>>>> = Arc::new(Mutex::new(None));
+        let (executor_shared, executor_outcome) = (shared.clone(), outcome.clone());
+        let executor = std::thread::Builder::new()
+            .name("block-stm-node-executor".into())
+            .spawn(move || {
+                let result = engine.build().execute_stream(&source, &storage);
+                if let Ok(output) = &result {
+                    *executor_shared.engine_metrics.lock() = output.metrics;
+                }
+                *executor_outcome.lock() = Some(result);
+            })
+            .map_err(|err| NodeError::Internal {
+                detail: format!("failed to spawn executor thread: {err}"),
+            })?;
 
         let monitor = self.snapshot_every.map(|every| {
             let stop = Arc::new(AtomicBool::new(false));
@@ -664,107 +605,6 @@ impl<T: Transaction + Clone + 'static> NodeBuilder<T> {
             durable_baseline,
         })
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_chained<T: Transaction + Clone + 'static>(
-    vm: Vm,
-    storage: InMemoryStorage<T::Key, T::Value>,
-    concurrency: Option<usize>,
-    sinks: Vec<Arc<dyn CommitSink<T::Key, T::Value>>>,
-    durability: Option<Arc<dyn DurabilitySink<T::Key, T::Value>>>,
-    shared: Arc<NodeShared<T>>,
-    former: BlockFormer<T>,
-    outcome: Arc<Mutex<Option<Outcome<T>>>>,
-) -> std::io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("block-stm-node-executor".into())
-        .spawn(move || {
-            let mut builder = BlockStmBuilder::new(vm);
-            if let Some(concurrency) = concurrency {
-                builder = builder.concurrency(concurrency);
-            }
-            builder = builder.commit_sink(Arc::new(LatencySink {
-                shared: shared.clone(),
-                current: Mutex::new(None),
-            }) as Arc<dyn CommitSink<T::Key, T::Value>>);
-            for sink in sinks {
-                builder = builder.commit_sink(sink);
-            }
-            if let Some(durable) = durability {
-                builder = builder.commit_sink(
-                    Arc::new(ForwardSink(durable)) as Arc<dyn CommitSink<T::Key, T::Value>>
-                );
-            }
-            let chain = builder.build_chain();
-            let source = ChainSource {
-                shared: shared.clone(),
-                former,
-            };
-            let result = chain
-                .execute_stream(&source, &storage)
-                .map(|output| ExecutionBundle {
-                    outputs: output.blocks,
-                    updates: output.updates,
-                    metrics: output.metrics,
-                });
-            if let Ok(bundle) = &result {
-                *shared.engine_metrics.lock() = bundle.metrics;
-            }
-            *outcome.lock() = Some(result);
-        })
-}
-
-fn spawn_adaptive<T: Transaction + Clone + 'static>(
-    vm: Vm,
-    storage: InMemoryStorage<T::Key, T::Value>,
-    concurrency: Option<usize>,
-    shared: Arc<NodeShared<T>>,
-    former: BlockFormer<T>,
-    outcome: Arc<Mutex<Option<Outcome<T>>>>,
-) -> std::io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("block-stm-node-executor".into())
-        .spawn(move || {
-            let mut builder = AdaptiveExecutor::builder(vm);
-            if let Some(concurrency) = concurrency {
-                builder = builder.concurrency(concurrency);
-            }
-            let adaptive = builder.build();
-            let mut running = storage;
-            let mut outputs = Vec::new();
-            let mut metrics = MetricsSnapshot::default();
-            let mut net: BTreeMap<T::Key, T::Value> = BTreeMap::new();
-            let result = loop {
-                match former.try_form(&shared.mempool, Instant::now()) {
-                    FormOutcome::Formed(block) => {
-                        shared.note_formed(&block);
-                        match adaptive.execute_block(&block.txns, &running) {
-                            Ok(output) => {
-                                shared.note_committed(&block.ids, &block.arrivals, Instant::now());
-                                for (key, value) in &output.updates {
-                                    running.insert(key.clone(), value.clone());
-                                    net.insert(key.clone(), value.clone());
-                                }
-                                metrics = metrics.merge(&output.metrics);
-                                *shared.engine_metrics.lock() = metrics;
-                                outputs.push(output);
-                            }
-                            Err(err) => break Err(err),
-                        }
-                    }
-                    FormOutcome::NotYet => std::thread::sleep(IDLE_POLL),
-                    FormOutcome::Drained => {
-                        break Ok(ExecutionBundle {
-                            outputs,
-                            updates: net.into_iter().collect(),
-                            metrics,
-                        })
-                    }
-                }
-            };
-            *outcome.lock() = Some(result);
-        })
 }
 
 /// A running node service. See the module docs for the lifecycle.
@@ -845,7 +685,7 @@ impl<T: Transaction + Clone + 'static> Node<T> {
             handle.thread().unpark();
             let _ = handle.join();
         }
-        let bundle = self
+        let output = self
             .outcome
             .lock()
             .take()
@@ -885,8 +725,8 @@ impl<T: Transaction + Clone + 'static> Node<T> {
         Ok(NodeReport {
             snapshot,
             blocks,
-            outputs: bundle.outputs,
-            updates: bundle.updates,
+            outputs: output.blocks,
+            updates: output.updates,
             commit_counts,
             durable_watermark,
         })

@@ -104,9 +104,9 @@ where
     /// underlying store received since the previous boundary — which is
     /// exactly a block's (or a whole chain's) committed `updates`, the same
     /// stream a persisting [`CommitSink`](block_stm::CommitSink) appends to
-    /// the log. Chained execution uses this between chains: the
-    /// `ChainExecutor` resolves cross-block reads through its in-memory
-    /// frontier while the chain runs, and the net updates are absorbed here so
+    /// the log. Chained execution uses this between chains:
+    /// `BlockStm::execute_chain` resolves cross-block reads through its
+    /// in-memory frontier while the chain runs, and the net updates are absorbed here so
     /// the *next* chain starts warm instead of re-reading disk.
     pub fn advance_block<I>(&self, committed: I)
     where
@@ -302,7 +302,7 @@ mod tests {
         let chain = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(2)
             .commit_sink::<u64, u64>(sink.clone())
-            .build_chain();
+            .build();
 
         // The chain reads its base state through the cache; cross-block reads
         // resolve in the executor's frontier, so the cache stays coherent (it

@@ -101,9 +101,9 @@
 //!
 //! # Chained execution: the commit gate and the cross-block frontier
 //!
-//! A `ChainExecutor` (in `block-stm-core`) runs a *stream* of blocks on one worker
-//! pool: block `N+1` starts speculating while block `N` is still committing. Two
-//! scheduler primitives make that safe:
+//! `BlockStm::execute_chain` (in `block-stm-core`) runs a *stream* of blocks on
+//! one worker pool: block `N+1` starts speculating while block `N` is still
+//! committing. Two scheduler primitives make that safe:
 //!
 //! * [`Scheduler::set_commit_gate`] — while the gate is closed, the commit ladder
 //!   is frozen: tasks are dispensed normally (the block executes and validates at

@@ -78,10 +78,11 @@ pub struct Scheduler {
     halted: PaddedAtomicBool,
     /// Chained execution's commit gate (open by default). While closed, the
     /// commit ladder does not advance — the block may execute and validate
-    /// speculatively, but nothing commits and the done marker stays down. A
-    /// `ChainExecutor` keeps a successor block's gate closed until its
-    /// predecessor has fully committed, then triggers a full revalidation
-    /// sweep and opens the gate (see
+    /// speculatively, but nothing commits and the done marker stays down.
+    /// Chained execution (`BlockStm::execute_chain` in `block-stm-core`) keeps
+    /// a successor block's gate closed until its predecessor has fully
+    /// committed, then triggers a full revalidation sweep and opens the gate
+    /// (see
     /// [`set_commit_gate`](Self::set_commit_gate) for the safety protocol).
     commit_gate_open: PaddedAtomicBool,
     /// The commit ladder cursor: index of the lowest uncommitted transaction. Only
@@ -183,7 +184,7 @@ impl Scheduler {
     /// boundary: execution and validation tasks are dispensed normally — the
     /// block speculates at full speed — but no transaction transitions to
     /// `Committed`, the committed watermark does not move, and the done marker
-    /// stays down. A `ChainExecutor` closes the gate of block `N+1` while
+    /// stays down. Chained execution closes the gate of block `N+1` while
     /// block `N` is still committing (so `N+1` can never commit a read of a
     /// not-yet-final cross-block frontier), and opens it only **after** the
     /// frontier is final *and* a [`trigger_full_revalidation`] sweep has

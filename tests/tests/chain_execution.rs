@@ -1,4 +1,4 @@
-//! Chained-execution conformance: a [`ChainExecutor`](block_stm::ChainExecutor)
+//! Chained-execution conformance: [`BlockStm::execute_chain`](block_stm::BlockStm::execute_chain)
 //! pipelines a stream of blocks through the cross-block frontier, and its
 //! committed output must be **byte-for-byte identical** to executing the same
 //! blocks one at a time with a barrier between them (each block's updates
@@ -101,7 +101,7 @@ where
         builder = builder.block_limiter::<T::Key, T::Value>(Arc::new(BlockGasLimit::new(budget)));
     }
     builder
-        .build_chain()
+        .build()
         .execute_chain(blocks, storage)
         .expect("chained execution failed")
 }
@@ -336,7 +336,7 @@ fn chain_sinks_see_begin_commits_end_per_block_in_stream_order() {
                         BlockGasLimit::new(budget),
                     ));
                 }
-                let chain = builder.build_chain();
+                let chain = builder.build();
                 let chained = if streamed {
                     // Yield a block only every third poll, so the chain runs dry
                     // and announces late heads from its settle path too.

@@ -8,7 +8,8 @@
 //! determinism across thread counts and completeness instead.
 
 use block_stm::{
-    AdaptiveExecutor, BlockExecutor, BlockStmBuilder, EngineChoice, SequentialExecutor, Vm,
+    AdaptiveExecutor, BlockExecutor, BlockFeed, BlockOutput, BlockStmBuilder, EngineChoice,
+    SequentialExecutor, Vm,
 };
 use block_stm_baselines::{BohmExecutor, LitmExecutor};
 use block_stm_storage::InMemoryStorage;
@@ -184,7 +185,75 @@ fn single_block_stm_instance_executes_50_chained_blocks() {
         state.apply_updates(output.updates.iter().cloned());
         oracle_state.apply_updates(expected.updates.iter().cloned());
     }
-    assert_eq!(executor.blocks_dispatched(), 50);
+    assert_eq!(executor.dispatches(), 50);
+}
+
+/// One `BlockStm` arena serves every entry point: a single instance runs
+/// `execute_block` → `execute_chain` → `execute_stream` → `execute_block` over
+/// blocks of different sizes, with the state carried from call to call. Every
+/// block's output equals the sequential oracle's, and each call is exactly one
+/// pool dispatch however many blocks it carries.
+#[test]
+fn one_block_stm_arena_serves_blocks_chains_and_streams() {
+    let executor = BlockStmBuilder::new(Vm::for_testing())
+        .concurrency(4)
+        .build();
+    let oracle = SequentialExecutor::new(Vm::for_testing());
+    let block = |size: usize, seed: u64| {
+        SyntheticWorkload::new(24, size)
+            .with_seed(seed)
+            .generate_block()
+    };
+    let mut state: Storage = storage_with_keys(24);
+    let mut oracle_state = state.clone();
+    let mut check = |outputs: Vec<BlockOutput<u64, u64>>,
+                     blocks: &[Vec<SyntheticTransaction>],
+                     state: &mut Storage,
+                     call: &str| {
+        assert_eq!(outputs.len(), blocks.len(), "[{call}] block count");
+        for (index, (output, block)) in outputs.iter().zip(blocks).enumerate() {
+            let expected = oracle.execute_block(block, &oracle_state).unwrap();
+            assert_eq!(
+                output.updates, expected.updates,
+                "[{call}] block {index} updates"
+            );
+            assert_eq!(
+                output.outputs, expected.outputs,
+                "[{call}] block {index} outputs"
+            );
+            state.apply_updates(output.updates.iter().cloned());
+            oracle_state.apply_updates(expected.updates.iter().cloned());
+        }
+    };
+
+    let first = vec![block(40, 1)];
+    let before = executor.dispatches();
+    let output = executor.execute_block(&first[0], &state).unwrap();
+    assert_eq!(executor.dispatches(), before + 1, "execute_block");
+    check(vec![output], &first, &mut state, "execute_block");
+
+    let chain = vec![block(7, 2), block(90, 3), block(15, 4)];
+    let before = executor.dispatches();
+    let output = executor.execute_chain(&chain, &state).unwrap();
+    assert_eq!(executor.dispatches(), before + 1, "execute_chain");
+    check(output.blocks, &chain, &mut state, "execute_chain");
+
+    let stream = vec![block(1, 5), block(64, 6)];
+    let pending = std::sync::Mutex::new(stream.clone().into_iter());
+    let source = || match pending.lock().unwrap().next() {
+        Some(block) => BlockFeed::Ready(block),
+        None => BlockFeed::End,
+    };
+    let before = executor.dispatches();
+    let output = executor.execute_stream(&source, &state).unwrap();
+    assert_eq!(executor.dispatches(), before + 1, "execute_stream");
+    check(output.blocks, &stream, &mut state, "execute_stream");
+
+    let last = vec![block(120, 7)];
+    let before = executor.dispatches();
+    let output = executor.execute_block(&last[0], &state).unwrap();
+    assert_eq!(executor.dispatches(), before + 1, "execute_block again");
+    check(vec![output], &last, &mut state, "execute_block again");
 }
 
 /// The same chained-reuse contract holds on the paper's p2p workload and storage

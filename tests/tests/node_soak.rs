@@ -24,7 +24,7 @@
 //! sink on an idle node must make the last block durable without a flush.
 
 use block_stm::{SequentialExecutor, Vm};
-use block_stm_node::{EngineMode, Node, NodeBuilder, NodeError, NodeReport};
+use block_stm_node::{Node, NodeError, NodeReport};
 use block_stm_persist::testing::TempDir;
 use block_stm_persist::{LogStore, WriteBehindSink};
 use block_stm_storage::{AccessPath, InMemoryStorage, StateValue};
@@ -132,31 +132,13 @@ fn soak_commits_every_transaction_exactly_once_at_every_thread_count() {
             &report,
             1200,
         );
-        // Chained mode executes through the chain pipeline: its per-chain
-        // block counter must agree with the former's.
+        // The node executes through the chain pipeline: its per-chain block
+        // counter must agree with the former's.
         assert_eq!(
             report.snapshot.engine.chain_blocks, report.snapshot.formed_blocks,
             "[chained@{threads}]"
         );
     }
-}
-
-#[test]
-fn adaptive_engine_soak_passes_the_same_audits() {
-    let workload = eth_workload(40, 600);
-    let (genesis, txns) = workload.generate();
-    let oracle = ConservationOracle::new().with_beneficiary(workload.beneficiary());
-    let node = Node::builder(Vm::for_testing(), genesis.clone())
-        .engine(EngineMode::Adaptive)
-        .concurrency(2)
-        .mempool_capacity(256)
-        .max_block_txns(100)
-        .max_wait(Duration::from_millis(2))
-        .start()
-        .expect("node starts");
-    submit_all(&node, &txns);
-    let report = node.shutdown().expect("clean drain");
-    audit_report("adaptive", &genesis, &oracle, &report, 600);
 }
 
 #[test]
@@ -286,25 +268,6 @@ fn full_mempool_rejects_with_a_typed_error_without_blocking() {
     let report = node.shutdown().expect("clean drain");
     assert_eq!(report.snapshot.committed_txns, 4);
     assert!(report.committed_exactly_once());
-}
-
-#[test]
-fn adaptive_engine_rejects_durability_at_build_time() {
-    let dir = TempDir::new("node-config");
-    let store = Arc::new(DiskStorage::open(dir.path().join("state.log")).unwrap());
-    let sink = Arc::new(WriteBehindSink::new(store));
-    let result: Result<_, NodeError> =
-        NodeBuilder::<EthTransferTransaction>::new(Vm::for_testing(), AccountStorage::new())
-            .engine(EngineMode::Adaptive)
-            .durability(sink)
-            .start();
-    match result {
-        Err(NodeError::Config { detail }) => {
-            assert!(detail.contains("chained"), "unhelpful detail: {detail}")
-        }
-        Ok(_) => panic!("adaptive + durability must be rejected"),
-        Err(other) => panic!("expected Config error, got {other}"),
-    }
 }
 
 /// An idle node must not hold its last block back from disk: fewer

@@ -1,18 +1,22 @@
 //! MVMemory microbenchmark: the old shard-lock data path vs the two-level
-//! lock-free path, on the three access patterns that dominate Block-STM blocks.
+//! interned path, on the three access patterns that dominate Block-STM blocks.
 //!
 //! * `read-heavy` — speculative reads of already-written locations at random
 //!   transaction bounds (the validation/execution steady state);
 //! * `write-heavy` — incarnations whose write-sets shift between rounds, forcing
 //!   structural inserts and removals;
 //! * `reexec-heavy` — the abort cycle: `convert_writes_to_estimates` followed by a
-//!   re-record of the same write-set (in-place slot republish on the new path, tree
-//!   mutation under the shard write lock on the old one);
+//!   re-record of the same write-set (an in-place entry overwrite under the cell
+//!   lock on the new path, tree mutation under the shard write lock on the old one);
 //! * `delta-hotspot` — one hot counter bumped by every transaction, `eager-rmw`
 //!   (read + full write) vs `lazy-delta` (delta entry + commit-order fold via
 //!   `materialize_deltas`). This isolates the *micro-level* cost of the delta
 //!   entry lifecycle; the engine-level payoff (no re-executions under
-//!   contention) is what `commitbench`'s delta-hotspot rows measure.
+//!   contention) is what `commitbench`'s delta-hotspot rows measure;
+//! * `contended-2t` — two threads, each owning half the transactions, record and
+//!   read 16 shared locations: the one pattern where the per-location lock is
+//!   contended. Only the `interned-cell` row runs it (the reconstruction is
+//!   single-threaded by construction).
 //!
 //! The `sharded-btree` rows reconstruct the pre-interner design exactly as the seed
 //! implemented it: SipHash (`RandomState`) shard selection, one `RwLock` per shard,
@@ -20,7 +24,8 @@
 //! the real [`MVMemory`] through a per-worker [`LocationCache`], i.e. the executor's
 //! actual hot path. Both run the identical operation sequence single-threaded, so
 //! the ratio isolates per-access synchronization and hashing cost — the quantity
-//! the two-level redesign targets (its scaling benefits come on top).
+//! the two-level redesign targets (its scaling benefits come on top), except
+//! `contended-2t`, which runs on two threads.
 //!
 //! Run with `cargo run -p block-stm-bench --release --bin mvbench`.
 //! Set `BLOCK_STM_BENCH_QUICK=1` for a fast smoke-test grid. Baselines are recorded
@@ -28,8 +33,9 @@
 
 use block_stm_bench::quick_mode;
 use block_stm_mvmemory::{LocationCache, MVMemory, MVReadOutput, ReadDescriptor};
-use block_stm_sync::{RcuCell, ShardedMap};
+use block_stm_sync::ShardedMap;
 use block_stm_vm::{DeltaOp, Version};
+use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::hash_map::RandomState;
 use std::collections::BTreeMap;
@@ -63,16 +69,16 @@ trait MvImpl {
     /// Mark the last write-set of `txn` as estimates (abort path).
     fn convert_to_estimates(&mut self, txn: usize);
     /// Block boundary: drain per-block state, exactly as the executor does between
-    /// `execute_block` calls (the new path frees its parked RCU garbage here).
+    /// `execute_block` calls.
     fn new_block(&mut self);
 }
 
 /// The seed's data path (pre-interner), reconstructed verbatim in miniature:
 /// `ShardedMap` with SipHash + per-location `BTreeMap` under the shard lock, and
-/// RCU'd last-written sets driving removals on re-record.
+/// per-transaction last-written sets driving removals on re-record.
 struct ShardedBtree {
     data: ShardedMap<u64, BTreeMap<usize, LegacyEntry>, RandomState>,
-    last_written: Vec<RcuCell<Vec<u64>>>,
+    last_written: Vec<Mutex<Vec<u64>>>,
 }
 
 #[derive(Clone)]
@@ -85,7 +91,7 @@ impl ShardedBtree {
     fn new(num_txns: usize) -> Self {
         Self {
             data: ShardedMap::new(256),
-            last_written: (0..num_txns).map(|_| RcuCell::new(Vec::new())).collect(),
+            last_written: (0..num_txns).map(|_| Mutex::default()).collect(),
         }
     }
 }
@@ -117,19 +123,22 @@ impl MvImpl for ShardedBtree {
                 tree.insert(txn, LegacyEntry::Write(incarnation, Arc::new(*value)));
             });
         }
-        let prev = self.last_written[txn].load();
-        let new_locations: Vec<u64> = writes.iter().map(|(key, _)| *key).collect();
-        for unwritten in prev.iter().filter(|loc| !new_locations.contains(loc)) {
+        let mut prev = self.last_written[txn].lock();
+        for unwritten in prev
+            .iter()
+            .filter(|loc| !writes.iter().any(|(key, _)| key == *loc))
+        {
             self.data.mutate_and_maybe_remove(unwritten, |tree| {
                 tree.remove(&txn);
                 tree.is_empty()
             });
         }
-        self.last_written[txn].store(new_locations);
+        prev.clear();
+        prev.extend(writes.iter().map(|(key, _)| *key));
     }
 
     fn convert_to_estimates(&mut self, txn: usize) {
-        let prev = self.last_written[txn].load();
+        let prev = self.last_written[txn].lock();
         for location in prev.iter() {
             self.data.mutate_if_present(location, |tree| {
                 if let Some(entry) = tree.get_mut(&txn) {
@@ -140,11 +149,11 @@ impl MvImpl for ShardedBtree {
     }
 
     fn new_block(&mut self) {
-        // The seed's reset: clear the map in place (shards keep capacity) and
-        // re-arm the RCU'd written-location sets.
+        // The seed's reset: clear the map and the written-location sets in
+        // place (both keep capacity).
         self.data.clear();
-        for cell in &self.last_written {
-            cell.store(Vec::new());
+        for locations in &mut self.last_written {
+            locations.get_mut().clear();
         }
     }
 }
@@ -169,20 +178,11 @@ impl MvImpl for InternedCell {
     const NAME: &'static str = "interned-cell";
 
     fn read(&mut self, key: u64, txn: usize) -> u64 {
-        match self
-            .memory
-            .read_with_cache(&mut self.cache, &key, txn)
-            .output
-        {
-            MVReadOutput::NotFound => 0,
-            MVReadOutput::Dependency(idx) => 1 ^ (idx as u64) << 1,
-            MVReadOutput::Versioned(version, value) => {
-                (version.txn_idx as u64) ^ ((version.incarnation as u64) << 20) ^ (value << 32)
-            }
-            // The legacy comparison drives no deltas; resolved reads appear only
-            // in the delta-chain scenario, which fingerprints the sum.
-            MVReadOutput::Resolved { accumulated, .. } => 2 ^ ((accumulated as u64) << 2),
-        }
+        fingerprint(
+            self.memory
+                .read_with_cache(&mut self.cache, &key, txn)
+                .output,
+        )
     }
 
     fn record(&mut self, txn: usize, incarnation: usize, writes: &[(u64, u64)]) {
@@ -201,10 +201,24 @@ impl MvImpl for InternedCell {
 
     fn new_block(&mut self) {
         // Worker caches die with the block (they pin cells), then the reset
-        // recycles cells in place and frees all parked RCU garbage.
+        // recycles cells in place.
         let block_size = self.memory.block_size();
         self.cache = LocationCache::new();
         self.memory.reset(block_size);
+    }
+}
+
+/// The checksum contribution of one read outcome (matches `ShardedBtree::read`).
+fn fingerprint(output: MVReadOutput<u64>) -> u64 {
+    match output {
+        MVReadOutput::NotFound => 0,
+        MVReadOutput::Dependency(idx) => 1 ^ (idx as u64) << 1,
+        MVReadOutput::Versioned(version, value) => {
+            (version.txn_idx as u64) ^ ((version.incarnation as u64) << 20) ^ (value << 32)
+        }
+        // The legacy comparison drives no deltas; resolved reads appear only
+        // in the delta-chain scenario, which fingerprints the sum.
+        MVReadOutput::Resolved { accumulated, .. } => 2 ^ ((accumulated as u64) << 2),
     }
 }
 
@@ -213,8 +227,8 @@ struct PatternSizes {
     locations: u64,
     writes_per_txn: usize,
     read_ops: usize,
-    /// Incarnation rounds per block (all patterns bound per-block work; the RCU
-    /// garbage of the new path is freed at block boundaries, as in production).
+    /// Incarnation rounds per block (all patterns bound per-block work and reset
+    /// at block boundaries, as in production).
     rounds_per_block: usize,
     blocks: usize,
 }
@@ -222,8 +236,8 @@ struct PatternSizes {
 /// Seeds one transaction's write-set for a round: `writes_per_txn` locations at an
 /// offset derived from the transaction index. The round shift (13, coprime to the
 /// stride 7) makes consecutive rounds' write-sets fully disjoint in `(txn,
-/// location)` pairs — `write-heavy` therefore measures pure structural churn, the
-/// RCU slot arrays' worst case and the old design's best (a `BTreeMap` insert).
+/// location)` pairs — `write-heavy` therefore measures pure structural churn
+/// (entry inserts and removals), the old design's best case (a `BTreeMap` insert).
 fn initial_writes(sizes: &PatternSizes, txn: usize, round: usize) -> Vec<(u64, u64)> {
     (0..sizes.writes_per_txn)
         .map(|w| {
@@ -251,7 +265,7 @@ fn run_read_heavy<M: MvImpl>(mv: &mut M, sizes: &PatternSizes) -> (u64, u64) {
 
 /// `write-heavy`: every round each transaction records a *fully shifted* write-set,
 /// so every write is a fresh `(txn, location)` pair — structural inserts plus
-/// removals, the worst case for the RCU slot arrays. Block boundaries every
+/// removals. Block boundaries every
 /// `rounds_per_block` rounds drain per-block state on both implementations.
 fn run_write_heavy<M: MvImpl>(mv: &mut M, sizes: &PatternSizes) -> (u64, u64) {
     let mut ops = 0u64;
@@ -299,6 +313,79 @@ fn run_reexec_heavy<M: MvImpl>(mv: &mut M, sizes: &PatternSizes) -> (u64, u64) {
     (ops, checksum)
 }
 
+/// `contended-2t`: two threads on 16 shared locations, the per-location lock's
+/// contended case. Thread `t` owns the transactions `txn % 2 == t` (one mutator
+/// per transaction, as in the engine); every round it records each owned
+/// transaction's two writes, reads two locations below it, and marks every
+/// fourth round's writes as estimates. The checksum depends on the interleaving,
+/// so it only keeps the optimizer honest.
+fn run_contended(sizes: &PatternSizes) -> MvbenchMeasurement {
+    const THREADS: usize = 2;
+    const LOCATIONS: u64 = 16;
+    let mut memory: MVMemory<u64, u64> = MVMemory::new(sizes.num_txns);
+    let mut ops = 0u64;
+    let mut checksum = 0u64;
+    let start = Instant::now();
+    for _block in 0..sizes.blocks {
+        memory.reset(sizes.num_txns);
+        let shared = &memory;
+        let per_thread: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let mut cache = LocationCache::new();
+                        let (mut ops, mut checksum) = (0u64, 0u64);
+                        for round in 0..sizes.rounds_per_block {
+                            for txn in (t..sizes.num_txns).step_by(THREADS) {
+                                let value = (txn * 1_000 + round) as u64;
+                                let writes = vec![
+                                    ((txn * 3 + round) as u64 % LOCATIONS, value),
+                                    ((txn * 5 + round + 1) as u64 % LOCATIONS, value),
+                                ];
+                                shared.record_with_cache(
+                                    &mut cache,
+                                    Version::new(txn, round),
+                                    Vec::new(),
+                                    writes,
+                                );
+                                for offset in 0..2 {
+                                    let key = (txn + offset) as u64 % LOCATIONS;
+                                    let read = shared.read_with_cache(&mut cache, &key, txn);
+                                    checksum = checksum.wrapping_add(fingerprint(read.output));
+                                }
+                                if round % 4 == 3 {
+                                    shared.convert_writes_to_estimates(txn);
+                                }
+                                ops += 4;
+                            }
+                        }
+                        (ops, checksum)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| worker.join().expect("contended worker panicked"))
+                .collect()
+        });
+        for (thread_ops, thread_checksum) in per_thread {
+            ops += thread_ops;
+            checksum = checksum.wrapping_add(thread_checksum);
+        }
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    MvbenchMeasurement {
+        pattern: "contended-2t".to_string(),
+        implementation: InternedCell::NAME.to_string(),
+        threads: THREADS,
+        ops,
+        elapsed_s: elapsed,
+        mops_per_sec: ops as f64 / elapsed / 1e6,
+        speedup_vs_sharded: 1.0,
+        checksum,
+    }
+}
+
 #[derive(Debug, Clone, Serialize)]
 struct MvbenchMeasurement {
     pattern: String,
@@ -307,7 +394,8 @@ struct MvbenchMeasurement {
     ops: u64,
     elapsed_s: f64,
     mops_per_sec: f64,
-    /// new-path ops/sec over old-path ops/sec; filled on `interned-cell` rows.
+    /// new-path ops/sec over old-path ops/sec; filled on the single-threaded
+    /// `interned-cell` rows (1.0 on `contended-2t`, which has no old-path row).
     speedup_vs_sharded: f64,
     checksum: u64,
 }
@@ -456,7 +544,7 @@ fn main() {
 
     println!(
         "# mvbench: old shard-lock MVMemory path vs two-level interned path, \
-         single-threaded, {} txns x {} locations",
+         single-threaded except contended-2t, {} txns x {} locations",
         sizes.num_txns, sizes.locations
     );
     println!("{}", tsv_header());
@@ -498,6 +586,10 @@ fn main() {
     println!("{}", lazy.tsv_row());
     results.push(eager);
     results.push(lazy);
+
+    let contended = run_contended(&sizes);
+    println!("{}", contended.tsv_row());
+    results.push(contended);
 
     println!(
         "# json: {}",

@@ -797,8 +797,9 @@ where
                 frontier.publish(frontier_batch);
             }
             // Freeze the prefix once per pass: readers at or below the watermark
-            // now take the final-read fast path (no descriptors, no seqlock
-            // re-checks); and flush the commit-lag metrics in one bulk update.
+            // now take the final-read fast path (no read descriptors, nothing
+            // to re-validate); and flush the commit-lag metrics in one bulk
+            // update.
             self.mvmemory.freeze_committed_prefix(state.drained);
             self.metrics
                 .record_commits((state.drained - drained_before) as u64, lag_sum, lag_max);

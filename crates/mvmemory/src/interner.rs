@@ -1,42 +1,44 @@
-//! Location interning: access path → dense id + lock-free cell handle.
+//! Location interning: access path → dense id + shared cell handle.
 //!
 //! Level 1 of the two-level multi-version memory. The paper's "concurrent hashmap
 //! over access paths" (§4) survives here only as the *interner*: each access path is
 //! resolved through the sharded map **once per block**, yielding a dense
-//! [`LocationId`] and a shared handle to the location's
-//! [`VersionedCell`](block_stm_sync::VersionedCell). Every later access goes through
-//! one of two cheaper routes:
+//! [`LocationId`] and a shared handle to the location's [`LocationCell`]. Every
+//! later access goes through one of two cheaper routes:
 //!
 //! * a **per-worker [`LocationCache`]** — a plain (unsynchronized) FxHash map owned
 //!   by one worker thread, memoizing `key → (id, cell)` for the block. A cache hit
 //!   costs one fast hash and zero shard-lock acquisitions.
-//! * the **id registry** — a lock-free `id → cell` array (RCU-published chunks of
-//!   `OnceLock` slots) used by validation and abort handling, which see locations as
-//!   the [`LocationId`]s recorded in read/write sets rather than as keys.
+//! * the **id registry** — an `id → cell` vector behind a read-write lock, used by
+//!   validation and abort handling, which see locations as the [`LocationId`]s
+//!   recorded in read/write sets rather than as keys. A lookup runs its closure
+//!   under the read guard; only a global first touch takes the write lock.
 //!
 //! Ids are assigned densely from 0 in first-touch order and stay stable across
-//! [`Interner::reset`], which also *recycles* the cells: between blocks (under
-//! `&mut`, the RCU quiescent point) every cell is cleared in place instead of
-//! reallocated, so steady-state blocks do no interning work for previously seen
-//! access paths beyond the per-worker cache warm-up. The one exception is key
-//! *churn*: workloads that touch fresh access paths every block would grow the
-//! interner without bound, so `reset` fully re-arms (drops every interning) once
-//! the location count has doubled since the working set was last measured —
-//! memory then tracks ~2× the live working set, while stable key sets never pay a
-//! re-arm.
+//! [`Interner::reset`], which also *recycles* the cells: between blocks every cell
+//! is cleared in place instead of reallocated, so steady-state blocks do no
+//! interning work for previously seen access paths beyond the per-worker cache
+//! warm-up. The one exception is key *churn*: workloads that touch fresh access
+//! paths every block would grow the interner without bound, so `reset` fully
+//! re-arms (drops every interning) once the location count has doubled since the
+//! working set was last measured — memory then tracks ~2× the live working set,
+//! while stable key sets never pay a re-arm.
+//!
+//! Lock order: a shard lock may be held while the registry is locked (first
+//! touch), and the registry's read guard while a cell is locked; never the
+//! reverse.
 
-use crate::entry::MVEntry;
-use block_stm_sync::{FxHashMap, ShardedMap, SnapshotPtr, VersionedCell};
-use parking_lot::Mutex;
+pub(crate) use crate::versioned_cell::LocationCell;
+use block_stm_sync::{FxHashMap, ShardedMap};
+use parking_lot::RwLock;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Dense per-block identifier of an interned memory location.
 ///
-/// Ids index the lock-free registry used by validation; `u32` keeps read-set
-/// descriptors small. [`LocationId::UNRESOLVED`] marks descriptors built outside the
+/// Ids index the registry used by validation; `u32` keeps read-set descriptors
+/// small. [`LocationId::UNRESOLVED`] marks descriptors built outside the
 /// interned hot path (tests, external callers) — consumers fall back to key lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocationId(u32);
@@ -56,10 +58,6 @@ impl LocationId {
     }
 }
 
-/// The lock-free cell type of one interned location: entries are either full
-/// values or commutative [`DeltaOp`](block_stm_vm::DeltaOp) writes.
-pub(crate) type LocationCell<V> = VersionedCell<MVEntry<V>>;
-
 /// A resolved location: its dense id plus the shared versioned cell.
 #[derive(Debug)]
 pub(crate) struct Interned<V> {
@@ -77,126 +75,21 @@ impl<V> Clone for Interned<V> {
     }
 }
 
-/// Registry chunk size; chunks are append-only and shared between registry
-/// snapshots, so growth republishes only the (tiny) outer chunk list.
-const REGISTRY_CHUNK: usize = 256;
-
 /// Below this many interned locations the doubling heuristic never re-arms: the
 /// bookkeeping of a small interner is cheaper than re-interning a hot set.
 const PRUNE_MIN_LOCATIONS: u32 = 16_384;
-
-type RegistryChunk<V> = Arc<Vec<OnceLock<Arc<LocationCell<V>>>>>;
-
-/// Lock-free `LocationId → cell` lookup: an RCU-published list of `OnceLock` chunks.
-///
-/// `get` is two atomic loads plus an index; `set` is called once per id (under the
-/// interner's first-touch path) and only takes the growth mutex when a new chunk is
-/// needed. A reader holding a pre-growth snapshot simply misses brand-new ids and
-/// falls back to key lookup — correct, merely slower, and only possible in the
-/// instant around a first touch.
-struct Registry<V> {
-    chunks: SnapshotPtr<Vec<RegistryChunk<V>>>,
-    grow: Mutex<()>,
-}
-
-impl<V> Registry<V> {
-    fn new() -> Self {
-        Self {
-            chunks: SnapshotPtr::new(Vec::new()),
-            grow: Mutex::new(()),
-        }
-    }
-
-    fn get(&self, id: LocationId) -> Option<&Arc<LocationCell<V>>> {
-        let index = id.index();
-        let chunks = self.chunks.load();
-        chunks
-            .get(index / REGISTRY_CHUNK)?
-            .get(index % REGISTRY_CHUNK)?
-            .get()
-    }
-
-    fn set(&self, id: LocationId, cell: Arc<LocationCell<V>>) {
-        let index = id.index();
-        let chunk_index = index / REGISTRY_CHUNK;
-        if self.chunks.load().len() <= chunk_index {
-            let _guard = self.grow.lock();
-            let current = self.chunks.load();
-            if current.len() <= chunk_index {
-                let mut grown = current.clone();
-                while grown.len() <= chunk_index {
-                    grown.push(Arc::new(
-                        (0..REGISTRY_CHUNK).map(|_| OnceLock::new()).collect(),
-                    ));
-                }
-                self.chunks.publish(grown);
-            }
-        }
-        let chunks = self.chunks.load();
-        let slot = &chunks[chunk_index][index % REGISTRY_CHUNK];
-        let inserted = slot.set(cell).is_ok();
-        debug_assert!(inserted, "registry id {index} set twice");
-    }
-
-    /// Drops every registration, chunk and parked snapshot (the interner's full
-    /// re-arm path).
-    fn clear(&mut self) {
-        self.chunks.set(Vec::new());
-    }
-
-    /// Recycles every registered cell in place for the next block. `&mut self` is
-    /// the quiescent point required by the RCU reclamation contract, and — caches
-    /// having been dropped — the registry is the sole owner of each cell, so the
-    /// walk is `Arc::get_mut` + [`VersionedCell::reset`] per location with no
-    /// reallocation. A cell (or whole chunk) pinned by a leaked external handle is
-    /// replaced instead.
-    fn reset_cells(&mut self) {
-        self.chunks.quiesce();
-        for shared_chunk in self.chunks.get_mut() {
-            match Arc::get_mut(shared_chunk) {
-                Some(chunk) => {
-                    for slot in chunk.iter_mut() {
-                        if let Some(shared_cell) = slot.get_mut() {
-                            match Arc::get_mut(shared_cell) {
-                                Some(cell) => cell.reset(),
-                                // A stale external handle pins the old cell; give
-                                // the location a fresh one rather than sharing
-                                // state with the holdout.
-                                None => *shared_cell = Arc::new(LocationCell::new()),
-                            }
-                        }
-                    }
-                }
-                // The chunk itself is pinned (leaked registry snapshot): replace it
-                // wholesale with fresh cells under the same ids.
-                None => {
-                    let rebuilt: Vec<OnceLock<Arc<LocationCell<V>>>> = shared_chunk
-                        .iter()
-                        .map(|slot| {
-                            let fresh = OnceLock::new();
-                            if slot.get().is_some() {
-                                fresh.set(Arc::new(LocationCell::new())).ok();
-                            }
-                            fresh
-                        })
-                        .collect();
-                    *shared_chunk = Arc::new(rebuilt);
-                }
-            }
-        }
-    }
-}
 
 /// The block-scoped location interner: sharded first-touch map + id registry.
 ///
 /// The map stores only the dense id per key; the registry owns the cells. Between
 /// blocks the registry is therefore the *sole* owner (worker caches have been
 /// dropped), which lets [`reset`](Interner::reset) recycle every cell in place with
-/// a plain chunk walk — no map iteration, no re-registration, no handle churn.
+/// a plain walk — no map iteration, no re-registration, no handle churn.
 pub(crate) struct Interner<K, V> {
     map: ShardedMap<K, LocationId>,
-    registry: Registry<V>,
-    next_id: AtomicU32,
+    /// `id → cell`: a location's id is its index, pushed under the write lock
+    /// by the first touch.
+    registry: RwLock<Vec<Arc<LocationCell<V>>>>,
     /// The interned-location count measured one block after the last full re-arm —
     /// the working-set estimate the doubling heuristic compares against. Mutated
     /// only under `&mut` (reset).
@@ -208,8 +101,20 @@ pub(crate) struct Interner<K, V> {
 impl<K, V> Debug for Interner<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Interner")
-            .field("locations", &self.next_id.load(Ordering::Relaxed))
+            .field("locations", &self.len())
             .finish()
+    }
+}
+
+impl<K, V> Interner<K, V> {
+    /// Number of interned locations (== the next id to assign).
+    pub fn len(&self) -> usize {
+        self.registry.read().len()
+    }
+
+    /// `id → cell` lookup through the registry: runs `f` under the read guard.
+    pub fn with_cell<R>(&self, id: LocationId, f: impl FnOnce(&LocationCell<V>) -> R) -> Option<R> {
+        self.registry.read().get(id.index()).map(|cell| f(cell))
     }
 }
 
@@ -220,67 +125,50 @@ where
     pub fn new(shards: usize) -> Self {
         Self {
             map: ShardedMap::new(shards),
-            registry: Registry::new(),
-            next_id: AtomicU32::new(0),
+            registry: RwLock::new(Vec::new()),
             prune_baseline: 0,
             rearmed: true,
         }
     }
 
-    /// Number of interned locations (== the next id to assign).
-    pub fn len(&self) -> usize {
-        self.next_id.load(Ordering::Relaxed) as usize
-    }
-
-    /// Read-only lookup: resolves `key` if it was already interned. One shard read
-    /// lock; does not create a cell.
-    pub fn lookup(&self, key: &K) -> Option<Interned<V>> {
+    /// Read-only lookup: runs `f` on `key`'s cell if the key was already
+    /// interned. One shard read lock, then the registry's; creates no cell.
+    pub fn with_cell_of_key<R>(&self, key: &K, f: impl FnOnce(&LocationCell<V>) -> R) -> Option<R> {
         let id = self.map.read_with(key, |entry| entry.copied())?;
-        let cell = Arc::clone(self.registry.get(id)?);
-        Some(Interned { id, cell })
+        self.with_cell(id, f)
     }
 
     /// Resolves `key`, interning it on first touch. Returns the entry and whether
     /// this call performed the interning (`true` == global first touch, i.e. a shard
     /// write-lock acquisition and a fresh cell).
     pub fn resolve(&self, key: &K) -> (Interned<V>, bool) {
-        if let Some(found) = self.lookup(key) {
-            return (found, false);
-        }
-        let (id, first_touch) = self.map.get_or_insert_with(key.clone(), || {
-            let id = LocationId(self.next_id.fetch_add(1, Ordering::Relaxed));
-            self.registry.set(id, Arc::new(LocationCell::new()));
-            id
-        });
-        let cell = Arc::clone(
-            self.registry
-                .get(id)
-                .expect("an interned id is always registered"),
-        );
+        let (id, first_touch) = match self.map.read_with(key, |entry| entry.copied()) {
+            Some(id) => (id, false),
+            None => self.map.get_or_insert_with(key.clone(), || {
+                let mut registry = self.registry.write();
+                let id =
+                    LocationId(u32::try_from(registry.len()).expect("location ids fit in u32"));
+                registry.push(Arc::new(LocationCell::new()));
+                id
+            }),
+        };
+        let cell = Arc::clone(&self.registry.read()[id.index()]);
         (Interned { id, cell }, first_touch)
     }
 
-    /// Lock-free `id → cell` lookup through the registry.
-    pub fn cell_by_id(&self, id: LocationId) -> Option<&Arc<LocationCell<V>>> {
-        self.registry.get(id)
-    }
-
     /// Invokes `f` on every interned `(key, cell)` pair (shard by shard; cold path).
-    pub fn for_each(&self, mut f: impl FnMut(&K, &Arc<LocationCell<V>>)) {
+    pub fn for_each(&self, mut f: impl FnMut(&K, &LocationCell<V>)) {
         self.map.for_each(|key, id| {
-            if let Some(cell) = self.registry.get(*id) {
-                f(key, cell);
-            }
+            self.with_cell(*id, |cell| f(key, cell));
         });
     }
 
     /// Re-arms the interner for the next block: every cell is cleared **in place**
     /// (recycled) under its existing id, so previously seen access paths keep their
-    /// interning across blocks and the key map is not even touched. Requires
-    /// `&mut self`: exclusive access is the quiescent point at which all RCU garbage
-    /// is reclaimed, and callers must have dropped per-worker caches (their `Arc`
-    /// clones) beforehand — a cell that is still externally referenced is replaced
-    /// instead of recycled.
+    /// interning across blocks and the key map is not even touched. Callers must
+    /// have dropped per-worker caches (their `Arc` clones) beforehand — a cell that
+    /// is still externally referenced is replaced instead of recycled, so the
+    /// stale holder never observes the next block.
     ///
     /// Growth bound: once the location count exceeds [`PRUNE_MIN_LOCATIONS`] *and*
     /// has doubled since the working set was last measured, the interner instead
@@ -288,19 +176,24 @@ where
     /// re-intern its live set. Under per-block key churn this caps memory at ~2×
     /// the working set; a stable key set never doubles and is never dropped.
     pub fn reset(&mut self) {
-        let interned = *self.next_id.get_mut();
+        let registry = self.registry.get_mut();
+        let interned = registry.len() as u32;
         if self.rearmed {
             self.prune_baseline = interned.max(PRUNE_MIN_LOCATIONS);
             self.rearmed = false;
         }
         if interned > PRUNE_MIN_LOCATIONS && interned / 2 >= self.prune_baseline {
             self.map.clear();
-            self.registry.clear();
-            *self.next_id.get_mut() = 0;
+            registry.clear();
             self.rearmed = true;
             return;
         }
-        self.registry.reset_cells();
+        for shared in registry.iter_mut() {
+            match Arc::get_mut(shared) {
+                Some(cell) => cell.reset(),
+                None => *shared = Arc::new(LocationCell::new()),
+            }
+        }
     }
 }
 
@@ -321,7 +214,7 @@ pub struct LocationCacheStats {
 ///
 /// One instance per worker thread per block, used without any synchronization: a
 /// steady-state access resolves its location with a single FxHash lookup and then
-/// operates on the lock-free cell directly — zero shard-lock acquisitions and zero
+/// operates on the cell directly — zero shard-lock acquisitions and zero
 /// SipHash work, which is the acceptance bar of the two-level design.
 #[derive(Debug)]
 pub struct LocationCache<K, V> {
@@ -397,6 +290,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::MVEntry;
 
     #[test]
     fn resolve_assigns_dense_ids_in_first_touch_order() {
@@ -415,14 +309,14 @@ mod tests {
     #[test]
     fn registry_lookup_matches_interned_cells_across_chunks() {
         let interner: Interner<u64, u64> = Interner::new(8);
-        // Cross several chunk boundaries.
+        // Enough locations that the registry grows several times.
         let entries: Vec<_> = (0..600u64).map(|k| interner.resolve(&k).0).collect();
         for entry in &entries {
-            let from_registry = interner.cell_by_id(entry.id).expect("registered");
-            assert!(Arc::ptr_eq(from_registry, &entry.cell));
+            let same = interner.with_cell(entry.id, |cell| std::ptr::eq(cell, &*entry.cell));
+            assert_eq!(same, Some(true), "registered");
         }
-        assert!(interner.cell_by_id(LocationId(600)).is_none());
-        assert!(interner.cell_by_id(LocationId::UNRESOLVED).is_none());
+        assert!(interner.with_cell(LocationId(600), |_| ()).is_none());
+        assert!(interner.with_cell(LocationId::UNRESOLVED, |_| ()).is_none());
     }
 
     #[test]
@@ -442,16 +336,12 @@ mod tests {
             cell_ptr,
             "cell recycled, not reallocated"
         );
-        assert_eq!(after.cell.live_entries(), 0, "cell cleared");
+        assert_eq!(after.cell.len(), 0, "cell cleared");
         assert_eq!(
-            after.cell.slot_count(),
-            1,
-            "slots kept for in-place revival"
+            interner.with_cell(id, |cell| std::ptr::eq(cell, &*after.cell)),
+            Some(true),
+            "re-registered"
         );
-        assert!(Arc::ptr_eq(
-            interner.cell_by_id(id).expect("re-registered"),
-            &after.cell
-        ));
     }
 
     #[test]
@@ -485,13 +375,12 @@ mod tests {
         let (entry, first_touch) = interner.resolve(&fresh_key);
         assert!(first_touch);
         entry.cell.write(1, 0, MVEntry::Value(7));
-        assert!(matches!(
-            entry.cell.read(2),
-            block_stm_sync::versioned_cell::CellRead::Value {
-                value: &MVEntry::Value(7),
-                ..
-            }
-        ));
+        let read = entry.cell.with_entries_below(2, |entries| {
+            entries
+                .last()
+                .and_then(|entry| entry.payload.as_value().copied())
+        });
+        assert_eq!(read, Some(7));
     }
 
     #[test]
@@ -571,7 +460,7 @@ mod tests {
         assert_eq!(interner.len(), 32);
         // Dense: every id below len is registered.
         for id in 0..32u32 {
-            assert!(interner.cell_by_id(LocationId(id)).is_some());
+            assert!(interner.with_cell(LocationId(id), |_| ()).is_some());
         }
     }
 }

@@ -14,25 +14,22 @@
 //!
 //! §4 of the paper describes the data map as "a concurrent hashmap over access
 //! paths, with lock-protected search trees for efficient txn_idx-based look-ups".
-//! This crate keeps the *semantics* of that design but replaces its synchronization
-//! with a two-level, mostly lock-free layout:
+//! This crate keeps that design and takes the hash map off the hot path:
 //!
 //! * **Level 1 — location interning.** Each access path is resolved through the
 //!   sharded hash map **once** per block, yielding a dense [`LocationId`] and a
-//!   shared handle to the location's lock-free
-//!   [`VersionedCell`](block_stm_sync::VersionedCell). Workers memoize the
-//!   resolution in a per-worker [`LocationCache`] (a plain FxHash map, no
-//!   synchronization), so a steady-state access performs **zero shard-lock
-//!   acquisitions and zero SipHash work**. Validation and abort handling do not
-//!   even hash: read/write sets carry `LocationId`s, resolved through a lock-free
-//!   id registry.
+//!   shared handle to the location's cell. Workers memoize the resolution in a
+//!   per-worker [`LocationCache`] (a plain FxHash map, no synchronization), so a
+//!   steady-state access performs **zero shard-lock acquisitions and zero
+//!   SipHash work**. Validation and abort handling do not even hash: read/write
+//!   sets carry `LocationId`s, resolved through an `id → cell` registry behind a
+//!   read-write lock that only a location's first touch writes.
 //! * **Level 2 — versioned cells.** The per-location "lock-protected search tree"
-//!   is now an RCU-published sorted slot array
-//!   ([`VersionedCell`](block_stm_sync::VersionedCell) in `block-stm-sync`): reads
-//!   are an atomic snapshot load plus binary search; a re-executing transaction
-//!   republishes its owned slot in place; `ESTIMATE` marking and removal are single
-//!   flag stores. Only a location's *first* write by a given transaction takes the
-//!   cell's short mutex to insert a slot.
+//!   is one mutex over a `Vec` of entries sorted by transaction index. A write
+//!   binary-searches and overwrites or inserts; `ESTIMATE` marking sets a flag;
+//!   removal deletes the entry. A read takes the lock once and walks a whole
+//!   delta chain inside it; the lock is a leaf, so no storage or frontier lookup
+//!   ever runs under it.
 //!
 //! The module exposes exactly the operations of Algorithm 2:
 //!
@@ -114,6 +111,7 @@ mod frontier;
 mod interner;
 mod mvmemory;
 mod read_set;
+mod versioned_cell;
 
 pub use entry::MVEntry;
 pub use frontier::{FrontierOverlay, FRONTIER_ABSENT};

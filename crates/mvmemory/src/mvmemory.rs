@@ -1,11 +1,16 @@
-//! The `MVMemory` data structure (Algorithm 2), on the two-level lock-free layout,
+//! The `MVMemory` data structure (Algorithm 2), on the two-level layout,
 //! extended with commutative **delta** entries.
 //!
 //! See the crate docs for the design. In short: locations are *interned* (level 1)
-//! into dense [`LocationId`]s with one lock-free cell each (level 2); the
-//! per-location lock-protected `BTreeMap` of the original design is gone.
-//! Steady-state reads and writes resolve locations through per-worker
-//! [`LocationCache`]s and then operate on cells without any lock.
+//! into dense [`LocationId`]s with one cell each (level 2): a mutex over the
+//! location's entries sorted by transaction index. Steady-state reads and writes
+//! resolve locations through per-worker [`LocationCache`]s and then take only the
+//! cell's lock.
+//!
+//! Lock discipline: never hold two cell locks at once; never call a storage-base
+//! resolver, the frontier or a sink while a cell lock is held; take a
+//! per-transaction lock (read set, written locations) before a cell lock, never
+//! the reverse.
 //!
 //! Each cell entry is an [`MVEntry`]: a full value, or a [`DeltaOp`] that applies
 //! commutatively on top of whatever the lower entries (or the storage base)
@@ -18,12 +23,11 @@
 use crate::entry::MVEntry;
 use crate::interner::{Interner, LocationCache, LocationCell, LocationId};
 use crate::read_set::{ReadDescriptor, ReadOrigin};
-use block_stm_sync::versioned_cell::CellRead;
-use block_stm_sync::{PaddedAtomicUsize, RcuCell};
-use block_stm_vm::{AggregatorValue, DeltaOp, Incarnation, TxnIndex, Version};
+use block_stm_sync::PaddedAtomicUsize;
+use block_stm_vm::{AggregatorValue, DeltaOp, TxnIndex, Version};
+use parking_lot::Mutex;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// Shard count of the interner map (first-touch path only).
 const INTERNER_SHARDS: usize = 256;
@@ -69,13 +73,14 @@ impl<V> MVReadOutput<V> {
     }
 }
 
-/// Borrowed result of resolving one location for one reader: the internal
-/// equivalent of [`MVReadOutput`] that borrows the base value instead of cloning
-/// it (validation and snapshotting work on sums and never clone).
+/// Result of resolving one location for one reader: the internal equivalent of
+/// [`MVReadOutput`], generic over what is taken from a full write's value under
+/// the cell lock (a clone for reads, the aggregator sum for validation, nothing
+/// for the dependency scan).
 #[derive(Debug, PartialEq, Eq)]
-enum ResolvedRead<'a, V> {
+enum ResolvedRead<T> {
     /// The highest lower entry is a full write.
-    Versioned(Version, &'a V),
+    Versioned(Version, T),
     /// A delta chain resolved onto `base_version` (or the storage base).
     Resolved {
         base_version: Option<Version>,
@@ -88,7 +93,7 @@ enum ResolvedRead<'a, V> {
     Dependency(TxnIndex),
 }
 
-impl<V> ResolvedRead<'_, V> {
+impl<T> ResolvedRead<T> {
     /// Number of delta entries the resolution walked through.
     fn chain_len(&self) -> usize {
         match self {
@@ -97,27 +102,27 @@ impl<V> ResolvedRead<'_, V> {
         }
     }
 
-    fn to_owned(&self) -> MVReadOutput<V>
-    where
-        V: Clone,
-    {
+    fn into_output(self) -> MVReadOutput<T> {
         match self {
-            ResolvedRead::Versioned(version, value) => {
-                MVReadOutput::Versioned(*version, (*value).clone())
-            }
+            ResolvedRead::Versioned(version, value) => MVReadOutput::Versioned(version, value),
             ResolvedRead::Resolved {
                 base_version,
                 accumulated,
                 ..
             } => MVReadOutput::Resolved {
-                base_version: *base_version,
-                accumulated: *accumulated,
+                base_version,
+                accumulated,
             },
             ResolvedRead::NotFound => MVReadOutput::NotFound,
-            ResolvedRead::Dependency(blocking) => MVReadOutput::Dependency(*blocking),
+            ResolvedRead::Dependency(blocking) => MVReadOutput::Dependency(blocking),
         }
     }
 }
+
+/// What a walk under one cell lock found: a finished resolution, or a
+/// non-empty delta chain (collected top → bottom) that reaches below the block
+/// and still needs the storage base.
+type Walk<T> = Result<ResolvedRead<T>, Vec<DeltaOp>>;
 
 /// Result of a cached hot-path read ([`MVMemory::read_with_cache`]): the location's
 /// interned id, the read outcome, and whether the outcome is **final** — every
@@ -142,7 +147,7 @@ pub struct CachedRead<V> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeOutcome {
     /// The location's interned id (stamped into the probe's read descriptor so
-    /// validation resolves through the lock-free id registry, not by key hash).
+    /// validation resolves through the id registry, not by key hash).
     pub id: LocationId,
     /// `Ok(in_bounds)`, or `Err(blocking_txn_idx)` when the resolution hit an
     /// ESTIMATE.
@@ -156,7 +161,7 @@ pub struct ProbeOutcome {
 }
 
 /// One location written by a transaction's last finished incarnation: the key plus
-/// its interned id (the id makes abort/removal handling a lock-free registry lookup).
+/// its interned id (the id makes abort/removal handling a registry lookup).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WrittenLocation<K> {
     /// The written access path.
@@ -176,9 +181,9 @@ pub struct MVMemory<K, V> {
     /// touched. Steady-state accesses resolve through per-worker [`LocationCache`]s.
     interner: Interner<K, V>,
     /// Per transaction: the locations written by its last finished incarnation.
-    last_written_locations: Vec<RcuCell<Vec<WrittenLocation<K>>>>,
+    last_written_locations: Vec<Mutex<Vec<WrittenLocation<K>>>>,
     /// Per transaction: the read-set recorded by its last finished incarnation.
-    last_read_set: Vec<RcuCell<Vec<ReadDescriptor<K>>>>,
+    last_read_set: Vec<Mutex<Vec<ReadDescriptor<K>>>>,
     /// Length of the committed prefix frozen by the executor: every entry written by
     /// a transaction below this index is final for the rest of the block.
     committed_watermark: PaddedAtomicUsize,
@@ -194,8 +199,8 @@ where
     pub fn new(block_size: usize) -> Self {
         Self {
             interner: Interner::new(INTERNER_SHARDS),
-            last_written_locations: (0..block_size).map(|_| RcuCell::new(Vec::new())).collect(),
-            last_read_set: (0..block_size).map(|_| RcuCell::new(Vec::new())).collect(),
+            last_written_locations: (0..block_size).map(|_| Mutex::default()).collect(),
+            last_read_set: (0..block_size).map(|_| Mutex::default()).collect(),
             committed_watermark: PaddedAtomicUsize::new(0),
             block_size,
         }
@@ -235,103 +240,96 @@ where
 
     /// Re-arms the memory for a new block of `block_size` transactions. The interner
     /// keeps every `location → id` assignment and **recycles** the versioned cells
-    /// in place (cleared, not reallocated), and the per-transaction snapshot arrays
-    /// are swapped to a shared empty snapshot instead of reallocating.
+    /// in place (cleared, not reallocated), and the per-transaction sets are
+    /// cleared in place.
     ///
-    /// Requires `&mut self`: exclusive access proves no worker thread still reads
-    /// from the previous block — this is the RCU quiescent point at which all
-    /// garbage parked by the lock-free cells is freed. Workers must drop their
-    /// [`LocationCache`]s before the reset (a cell pinned by a stale cache handle is
-    /// replaced instead of recycled).
+    /// Workers must drop their [`LocationCache`]s before the reset (a cell pinned
+    /// by a stale cache handle is replaced instead of recycled).
     pub fn reset(&mut self, block_size: usize) {
         self.interner.reset();
         self.block_size = block_size;
         self.committed_watermark.store(0);
-        // One shared empty snapshot per array: re-arming a transaction is a pointer
-        // swap, not an allocation.
-        let empty_locations: Arc<Vec<WrittenLocation<K>>> = Arc::new(Vec::new());
-        self.last_written_locations.truncate(block_size);
-        for cell in &self.last_written_locations {
-            cell.store_arc(Arc::clone(&empty_locations));
+        self.last_written_locations
+            .resize_with(block_size, Mutex::default);
+        for locations in &mut self.last_written_locations {
+            locations.get_mut().clear();
         }
-        while self.last_written_locations.len() < block_size {
-            self.last_written_locations.push(RcuCell::new(Vec::new()));
-        }
-        let empty_reads: Arc<Vec<ReadDescriptor<K>>> = Arc::new(Vec::new());
-        self.last_read_set.truncate(block_size);
-        for cell in &self.last_read_set {
-            cell.store_arc(Arc::clone(&empty_reads));
-        }
-        while self.last_read_set.len() < block_size {
-            self.last_read_set.push(RcuCell::new(Vec::new()));
+        self.last_read_set.resize_with(block_size, Mutex::default);
+        for reads in &mut self.last_read_set {
+            reads.get_mut().clear();
         }
     }
 
-    /// Resolves the entry chain of one cell for a reader at `txn_idx`: the highest
-    /// live entry strictly below the reader if it is a full write, otherwise the
-    /// delta chain accumulated down to the nearest full write or the storage base
-    /// (`base_of`, consulted at most once; `None` means "absent", which reads as
-    /// aggregator `0`). `committed == true` takes the cheaper frozen-prefix cell
-    /// reads (no seqlock re-check).
+    /// Walks one cell for a reader at `txn_idx` under a single acquisition of
+    /// the cell lock: the highest entry strictly below the reader if it is a full
+    /// write (`project` takes what the caller needs from its value), otherwise
+    /// the delta chain accumulated down to the nearest full write. A chain that
+    /// reaches below the block comes back as `Err(deltas)`: the storage base is
+    /// consulted only after the lock is released ([`Self::onto_storage`]).
     ///
-    /// The walk is a sequence of independent lock-free cell reads, not an atomic
-    /// snapshot — standard Block-STM speculation: any torn interleaving is caught
-    /// by (re-)validation, and the validation run that commits a transaction
-    /// observes settled entries (see the crate docs).
-    fn resolve_cell<'a>(
-        cell: &'a LocationCell<V>,
+    /// `committed` marks a reader at or below the frozen watermark: no ESTIMATE
+    /// can exist below it (checked in debug builds).
+    fn walk_cell<T>(
+        cell: &LocationCell<V>,
         txn_idx: TxnIndex,
         committed: bool,
-        base_of: impl FnOnce() -> Option<u128>,
-    ) -> ResolvedRead<'a, V> {
-        let mut deltas: Vec<DeltaOp> = Vec::new();
-        let mut bound = txn_idx;
-        loop {
-            let read = if committed {
-                cell.read_committed(bound)
-            } else {
-                cell.read(bound)
-            };
-            match read {
-                CellRead::Missing => {
-                    if deltas.is_empty() {
-                        return ResolvedRead::NotFound;
-                    }
-                    let base = base_of().unwrap_or(0);
-                    return ResolvedRead::Resolved {
-                        base_version: None,
-                        accumulated: Self::fold_chain(base, &deltas),
-                        chain_len: deltas.len(),
-                    };
+        project: impl FnOnce(&V) -> T,
+    ) -> Walk<T> {
+        cell.with_entries_below(txn_idx, |entries| {
+            let mut deltas: Vec<DeltaOp> = Vec::new();
+            for entry in entries.iter().rev() {
+                if entry.estimate {
+                    debug_assert!(!committed, "estimate below a committed bound ({txn_idx})");
+                    return Ok(ResolvedRead::Dependency(entry.txn_idx));
                 }
-                CellRead::Estimate { txn_idx: blocking } => {
-                    return ResolvedRead::Dependency(blocking)
-                }
-                CellRead::Value {
-                    txn_idx: writer,
-                    incarnation,
-                    value,
-                } => {
-                    let version = Version::new(writer, incarnation);
-                    match value {
-                        MVEntry::Value(value) => {
-                            if deltas.is_empty() {
-                                return ResolvedRead::Versioned(version, value);
-                            }
-                            return ResolvedRead::Resolved {
-                                base_version: Some(version),
-                                accumulated: Self::fold_chain(value.to_aggregator(), &deltas),
-                                chain_len: deltas.len(),
-                            };
-                        }
-                        MVEntry::Delta(op) => {
-                            deltas.push(*op);
-                            bound = writer;
-                        }
+                let version = Version::new(entry.txn_idx, entry.incarnation);
+                match &entry.payload {
+                    MVEntry::Value(value) if deltas.is_empty() => {
+                        return Ok(ResolvedRead::Versioned(version, project(value)));
                     }
+                    MVEntry::Value(value) => {
+                        return Ok(ResolvedRead::Resolved {
+                            base_version: Some(version),
+                            accumulated: Self::fold_chain(value.to_aggregator(), &deltas),
+                            chain_len: deltas.len(),
+                        });
+                    }
+                    MVEntry::Delta(op) => deltas.push(*op),
                 }
             }
-        }
+            if deltas.is_empty() {
+                Ok(ResolvedRead::NotFound)
+            } else {
+                Err(deltas)
+            }
+        })
+    }
+
+    /// Finishes a [`Walk`] outside the cell lock: folds a chain that reached
+    /// below the block onto the storage base (`base_of`, consulted at most once;
+    /// `None` means "absent", which reads as aggregator `0`).
+    fn onto_storage<T>(walk: Walk<T>, base_of: impl FnOnce() -> Option<u128>) -> ResolvedRead<T> {
+        walk.unwrap_or_else(|deltas| ResolvedRead::Resolved {
+            base_version: None,
+            accumulated: Self::fold_chain(base_of().unwrap_or(0), &deltas),
+            chain_len: deltas.len(),
+        })
+    }
+
+    /// [`walk_cell`](Self::walk_cell) then [`onto_storage`](Self::onto_storage).
+    ///
+    /// Each resolution sees one consistent state of the cell; resolutions of
+    /// different cells are independent — standard Block-STM speculation: any
+    /// torn interleaving is caught by (re-)validation, and the validation run
+    /// that commits a transaction observes settled entries (see the crate docs).
+    fn resolve_cell<T>(
+        cell: &LocationCell<V>,
+        txn_idx: TxnIndex,
+        committed: bool,
+        project: impl FnOnce(&V) -> T,
+        base_of: impl FnOnce() -> Option<u128>,
+    ) -> ResolvedRead<T> {
+        Self::onto_storage(Self::walk_cell(cell, txn_idx, committed, project), base_of)
     }
 
     /// Applies a chain of deltas (collected top → bottom) onto `base`, bottom-up.
@@ -400,8 +398,8 @@ where
         let mut new_locations = Vec::with_capacity(effects.len());
         let mut pending = effects.into_iter();
         while let Some((key, entry)) = pending.next() {
-            // Last write wins on duplicate keys (and keeps the one-publish-per-
-            // incarnation contract of `VersionedCell::write`).
+            // Last write wins on duplicate keys: each location gets one entry
+            // per incarnation.
             if pending.as_slice().iter().any(|(later, _)| *later == key) {
                 continue;
             }
@@ -458,34 +456,25 @@ where
         self.finish_record(version, read_set, new_locations)
     }
 
+    /// Replaces `last_written_locations[txn_idx]`, removes the entries the new
+    /// incarnation no longer writes, stores the read-set, and reports whether a
+    /// location was written for the first time (`rcu_update_written_locations`,
+    /// Lines 30–35).
     fn finish_record(
         &self,
         version: Version,
         read_set: Vec<ReadDescriptor<K>>,
         new_locations: Vec<WrittenLocation<K>>,
     ) -> bool {
-        let wrote_new_location =
-            self.rcu_update_written_locations(version.txn_idx, version.incarnation, new_locations);
-        self.last_read_set[version.txn_idx].store(read_set);
-        wrote_new_location
-    }
-
-    /// Updates `last_written_locations[txn_idx]`, tombstones entries the new
-    /// incarnation no longer writes, and reports whether a location was written for
-    /// the first time (`rcu_update_written_locations`, Lines 30–35). Removal is a
-    /// flag store on the owned slot — no tree surgery, no map mutation.
-    fn rcu_update_written_locations(
-        &self,
-        txn_idx: TxnIndex,
-        incarnation: Incarnation,
-        new_locations: Vec<WrittenLocation<K>>,
-    ) -> bool {
-        let prev_locations = self.last_written_locations[txn_idx].load();
-        for unwritten in prev_locations
+        let txn_idx = version.txn_idx;
+        let mut locations = self.last_written_locations[txn_idx].lock();
+        for unwritten in locations
             .iter()
             .filter(|prev| !new_locations.iter().any(|new| new.id == prev.id))
         {
-            let removed = self.with_cell_of(unwritten, |cell| cell.remove(txn_idx, incarnation));
+            let removed = self
+                .interner
+                .with_cell(unwritten.id, |cell| cell.remove(txn_idx));
             debug_assert!(
                 removed == Some(true),
                 "entry for a previously written location must exist"
@@ -493,38 +482,25 @@ where
         }
         let wrote_new_location = new_locations
             .iter()
-            .any(|new| !prev_locations.iter().any(|prev| prev.id == new.id));
-        self.last_written_locations[txn_idx].store(new_locations);
+            .any(|new| !locations.iter().any(|prev| prev.id == new.id));
+        *locations = new_locations;
+        drop(locations);
+        *self.last_read_set[txn_idx].lock() = read_set;
         wrote_new_location
-    }
-
-    /// Resolves a previously written location to its cell and applies `f`: a
-    /// lock-free registry lookup with no handle cloning (written locations always
-    /// carry resolved ids; the key fallback only covers a registry snapshot that
-    /// predates the id's chunk).
-    fn with_cell_of<R>(
-        &self,
-        location: &WrittenLocation<K>,
-        f: impl FnOnce(&LocationCell<V>) -> R,
-    ) -> Option<R> {
-        if let Some(cell) = self.interner.cell_by_id(location.id) {
-            return Some(f(cell));
-        }
-        self.interner
-            .lookup(&location.key)
-            .map(|entry| f(&entry.cell))
     }
 
     /// Replaces every entry written by `txn_idx`'s last finished incarnation with an
     /// ESTIMATE marker (`convert_writes_to_estimates`, Lines 43–46). Called by the
     /// thread that successfully aborted the incarnation, *before* the transaction is
-    /// re-scheduled for execution. A pure flag store per location — the slot arrays
-    /// and the interner map are untouched. Delta entries are marked exactly like
-    /// full writes: a resolution walking through the marker reports the dependency.
+    /// re-scheduled for execution. A flag store per location — the interner map is
+    /// untouched. Delta entries are marked exactly like full writes: a resolution
+    /// walking through the marker reports the dependency.
     pub fn convert_writes_to_estimates(&self, txn_idx: TxnIndex) {
-        let prev_locations = self.last_written_locations[txn_idx].load();
-        for location in prev_locations.iter() {
-            let marked = self.with_cell_of(location, |cell| cell.mark_estimate(txn_idx));
+        let locations = self.last_written_locations[txn_idx].lock();
+        for location in locations.iter() {
+            let marked = self
+                .interner
+                .with_cell(location.id, |cell| cell.mark_estimate(txn_idx));
             debug_assert!(
                 marked == Some(true),
                 "entry for a previously written location must exist"
@@ -559,23 +535,24 @@ where
     where
         V: Clone,
     {
-        match self.interner.lookup(location) {
+        let walk = self.interner.with_cell_of_key(location, |cell| {
+            Self::walk_cell(cell, txn_idx, false, V::clone)
+        });
+        match walk {
             None => MVReadOutput::NotFound,
-            Some(interned) => {
-                Self::resolve_cell(&interned.cell, txn_idx, false, base_of).to_owned()
-            }
+            Some(walk) => Self::onto_storage(walk, base_of).into_output(),
         }
     }
 
     /// Hot-path speculative read through a per-worker [`LocationCache`]: resolves
     /// the location with a local fast-hash lookup (interning it globally on the
-    /// block-wide first touch), then reads the lock-free cell. Returns the interned
+    /// block-wide first touch), then reads the cell. Returns the interned
     /// id — callers stamp it into read-set descriptors so validation can skip key
     /// hashing entirely.
     ///
     /// When every transaction below the reader has committed (the frozen prefix,
     /// see [`freeze_committed_prefix`](Self::freeze_committed_prefix)), the read
-    /// takes the cheaper committed cell path and is reported `committed_final`:
+    /// is reported `committed_final`:
     /// its outcome can never change for the rest of the block, so the executor
     /// skips the read descriptor entirely — validation has nothing to re-check.
     pub fn read_with_cache(
@@ -608,11 +585,12 @@ where
         // therefore immutable (and delta-folded) — entries.
         let committed_final = txn_idx <= self.committed_watermark.load();
         let interned = cache.resolve(&self.interner, location);
-        let resolved = Self::resolve_cell(&interned.cell, txn_idx, committed_final, base_of);
+        let resolved =
+            Self::resolve_cell(&interned.cell, txn_idx, committed_final, V::clone, base_of);
         CachedRead {
             id: interned.id,
             delta_chain_len: resolved.chain_len(),
-            output: resolved.to_owned(),
+            output: resolved.into_output(),
             committed_final,
         }
     }
@@ -638,15 +616,15 @@ where
         // read — and wrongly skip the descriptor.
         let committed_final = txn_idx <= self.committed_watermark.load();
         let interned = cache.resolve(&self.interner, location);
-        // `base_of` serves double duty: the chain's storage bottom inside the
-        // resolution, or — when no entry exists at all — the probe's own base.
+        let walk = Self::walk_cell(&interned.cell, txn_idx, committed_final, V::to_aggregator);
+        // `base_of` serves double duty: the chain's storage bottom, or — when no
+        // entry exists at all — the probe's own base.
         let mut storage_base = Some(base_of);
         let mut deferred_base = || storage_base.take().expect("base consulted once")();
-        let resolved =
-            Self::resolve_cell(&interned.cell, txn_idx, committed_final, &mut deferred_base);
+        let resolved = Self::onto_storage(walk, &mut deferred_base);
         let chain_len = resolved.chain_len();
         let outcome = match resolved {
-            ResolvedRead::Versioned(_, value) => Ok(op.in_bounds_on(value.to_aggregator(), prior)),
+            ResolvedRead::Versioned(_, sum) => Ok(op.in_bounds_on(sum, prior)),
             ResolvedRead::Resolved { accumulated, .. } => Ok(op.in_bounds_on(accumulated, prior)),
             ResolvedRead::NotFound => Ok(op.in_bounds_on(deferred_base().unwrap_or(0), prior)),
             ResolvedRead::Dependency(blocking) => Err(blocking),
@@ -703,8 +681,7 @@ where
         base_of: impl Fn(&K) -> Option<u128>,
         frontier_stamp_of: impl Fn(&K) -> Option<u64>,
     ) -> bool {
-        let prior_reads = self.last_read_set[txn_idx].load();
-        prior_reads.iter().all(|descriptor| {
+        self.last_read_set[txn_idx].lock().iter().all(|descriptor| {
             self.descriptor_still_holds(descriptor, txn_idx, &base_of, &frontier_stamp_of)
         })
     }
@@ -720,14 +697,11 @@ where
         base_of: impl Fn(&K) -> Option<u128>,
     ) -> String
     where
-        V: std::fmt::Debug,
+        V: Clone,
     {
-        self.resolve_descriptor_with(
-            descriptor,
-            txn_idx,
-            || base_of(&descriptor.key),
-            |read| format!("{read:?}"),
-        )
+        let read =
+            self.resolve_descriptor(descriptor, txn_idx, V::clone, || base_of(&descriptor.key));
+        format!("{read:?}")
     }
 
     /// Diagnostic twin of
@@ -742,7 +716,7 @@ where
         frontier_stamp_of: impl Fn(&K) -> Option<u64>,
     ) -> Vec<ReadDescriptor<K>> {
         self.last_read_set[txn_idx]
-            .load()
+            .lock()
             .iter()
             .filter(|descriptor| {
                 !self.descriptor_still_holds(descriptor, txn_idx, &base_of, &frontier_stamp_of)
@@ -758,42 +732,40 @@ where
         base_of: &impl Fn(&K) -> Option<u128>,
         frontier_stamp_of: &impl Fn(&K) -> Option<u64>,
     ) -> bool {
-        self.resolve_descriptor_with(
-            descriptor,
-            txn_idx,
+        // Versions and sums are compared; no value is cloned.
+        let read = self.resolve_descriptor(descriptor, txn_idx, V::to_aggregator, || {
+            base_of(&descriptor.key)
+        });
+        Self::origin_matches(
+            read,
+            descriptor.origin,
             || base_of(&descriptor.key),
-            |read| {
-                Self::origin_matches(
-                    read,
-                    descriptor.origin,
-                    || base_of(&descriptor.key),
-                    || frontier_stamp_of(&descriptor.key),
-                )
-            },
+            || frontier_stamp_of(&descriptor.key),
         )
     }
 
-    /// Re-resolves a descriptor's location: by interned id through the lock-free
-    /// registry when resolved (no hashing), falling back to key lookup otherwise.
-    /// Both validation and the dependency pre-check dispatch through here so the
-    /// two paths cannot diverge. `base_of` supplies the storage base for chains
-    /// that bottom out below the block — it must match what the recording read
-    /// used, or sum comparisons would be inconsistent.
-    fn resolve_descriptor_with<R>(
+    /// Re-resolves a descriptor's location: by interned id through the registry
+    /// when resolved (no hashing), by key otherwise. Validation, the dependency
+    /// pre-check and the audit all dispatch through here so the paths cannot
+    /// diverge. `base_of` supplies the storage base for chains that bottom out
+    /// below the block — it must match what the recording read used, or sum
+    /// comparisons would be inconsistent. It runs after every lock is released.
+    fn resolve_descriptor<T>(
         &self,
         descriptor: &ReadDescriptor<K>,
         txn_idx: TxnIndex,
+        project: impl FnOnce(&V) -> T,
         base_of: impl FnOnce() -> Option<u128>,
-        f: impl FnOnce(ResolvedRead<'_, V>) -> R,
-    ) -> R {
-        if descriptor.id.is_resolved() {
-            if let Some(cell) = self.interner.cell_by_id(descriptor.id) {
-                return f(Self::resolve_cell(cell, txn_idx, false, base_of));
-            }
-        }
-        match self.interner.lookup(&descriptor.key) {
-            None => f(ResolvedRead::NotFound),
-            Some(interned) => f(Self::resolve_cell(&interned.cell, txn_idx, false, base_of)),
+    ) -> ResolvedRead<T> {
+        let walk = |cell: &LocationCell<V>| Self::walk_cell(cell, txn_idx, false, project);
+        let walked = if descriptor.id.is_resolved() {
+            self.interner.with_cell(descriptor.id, walk)
+        } else {
+            self.interner.with_cell_of_key(&descriptor.key, walk)
+        };
+        match walked {
+            None => ResolvedRead::NotFound,
+            Some(walk) => Self::onto_storage(walk, base_of),
         }
     }
 
@@ -802,11 +774,11 @@ where
     /// (the resolution already folded the storage base in when it bottomed out
     /// there), or the storage base itself when no entry exists.
     fn observed_sum(
-        read: &ResolvedRead<'_, V>,
+        read: &ResolvedRead<u128>,
         storage_base: impl FnOnce() -> Option<u128>,
     ) -> Option<u128> {
         match read {
-            ResolvedRead::Versioned(_, value) => Some(value.to_aggregator()),
+            ResolvedRead::Versioned(_, sum) => Some(*sum),
             ResolvedRead::Resolved { accumulated, .. } => Some(*accumulated),
             ResolvedRead::NotFound => Some(storage_base().unwrap_or(0)),
             ResolvedRead::Dependency(_) => None,
@@ -814,7 +786,7 @@ where
     }
 
     fn origin_matches(
-        read: ResolvedRead<'_, V>,
+        read: ResolvedRead<u128>,
         origin: ReadOrigin,
         storage_base: impl FnOnce() -> Option<u128>,
         frontier_stamp: impl FnOnce() -> Option<u64>,
@@ -860,39 +832,20 @@ where
         }
     }
 
-    /// Returns the read-set recorded by the last finished incarnation of `txn_idx`.
-    /// Used by the executor's "check known dependencies before re-executing"
-    /// optimization (§4) and by tests.
-    pub fn last_read_set(&self, txn_idx: TxnIndex) -> Arc<Vec<ReadDescriptor<K>>> {
-        self.last_read_set[txn_idx].load()
-    }
-
-    /// Returns the locations written by the last finished incarnation of `txn_idx`.
-    pub fn last_written_locations(&self, txn_idx: TxnIndex) -> Arc<Vec<WrittenLocation<K>>> {
-        self.last_written_locations[txn_idx].load()
-    }
-
     /// Scans the prior read-set of `txn_idx` and returns the first location currently
     /// marked as an ESTIMATE, if any, together with the blocking transaction index.
     /// This is the §4 mitigation for VMs that must restart from scratch: before paying
     /// for a full re-execution, cheaply check whether a known dependency is still
     /// unresolved. Like validation, the scan runs on ids: registry lookups plus
-    /// lock-free cell reads — for delta descriptors the whole chain is walked, since
-    /// an ESTIMATE anywhere in it blocks the resolution.
+    /// cell walks — for delta descriptors the whole chain is walked, since an
+    /// ESTIMATE anywhere in it blocks the resolution.
     pub fn first_estimate_in_prior_reads(&self, txn_idx: TxnIndex) -> Option<(K, TxnIndex)> {
-        let prior_reads = self.last_read_set[txn_idx].load();
+        let prior_reads = self.last_read_set[txn_idx].lock();
         for descriptor in prior_reads.iter() {
             // The storage base is irrelevant here: only ESTIMATEs matter.
-            let blocking = self.resolve_descriptor_with(
-                descriptor,
-                txn_idx,
-                || None,
-                |read| match read {
-                    ResolvedRead::Dependency(blocking) => Some(blocking),
-                    _ => None,
-                },
-            );
-            if let Some(blocking) = blocking {
+            if let ResolvedRead::Dependency(blocking) =
+                self.resolve_descriptor(descriptor, txn_idx, |_| (), || None)
+            {
                 return Some((descriptor.key.clone(), blocking));
             }
         }
@@ -906,10 +859,9 @@ where
     /// Called by the commit drain, in commit order, before
     /// [`freeze_committed_prefix`](Self::freeze_committed_prefix) covers the
     /// transaction: every lower transaction is already committed and folded, so
-    /// each resolution terminates after at most one step down. The republish
-    /// reuses the committed incarnation number — both payloads resolve to the
-    /// same value, so concurrent readers observe no semantic change (see the
-    /// `VersionedCell::write` contract note).
+    /// each resolution terminates after at most one step down. The folded value
+    /// keeps the committed version — both payloads resolve to the same value, so
+    /// concurrent readers observe no semantic change.
     ///
     /// `base_of` supplies the storage base for chains that bottom out below the
     /// block.
@@ -921,42 +873,28 @@ where
     where
         V: Clone,
     {
-        let locations = self.last_written_locations[txn_idx].load();
+        let locations = self.last_written_locations[txn_idx].lock();
         let mut materialized = Vec::new();
         for location in locations.iter() {
-            let folded = self.with_cell_of(location, |cell| {
-                let resolved =
-                    Self::resolve_cell(cell, txn_idx + 1, false, || base_of(&location.key));
-                match resolved {
-                    ResolvedRead::Resolved { accumulated, .. } => {
-                        // The top of the chain is this transaction's own delta
-                        // entry (it committed with one recorded); fold the
-                        // resolved value into it in place.
-                        let incarnation = match cell.read(txn_idx + 1) {
-                            CellRead::Value {
-                                txn_idx: writer,
-                                incarnation,
-                                ..
-                            } if writer == txn_idx => incarnation,
-                            other => {
-                                debug_assert!(
-                                    false,
-                                    "committed delta writer lost its entry: {other:?}"
-                                );
-                                return None;
-                            }
-                        };
-                        let value = V::from_aggregator(accumulated);
-                        cell.write(txn_idx, incarnation, MVEntry::Value(value.clone()));
-                        Some(value)
-                    }
-                    // A full write at the top: nothing to fold.
-                    _ => None,
-                }
+            let Some(walk) = self.interner.with_cell(location.id, |cell| {
+                Self::walk_cell(cell, txn_idx + 1, false, |_| ())
+            }) else {
+                continue;
+            };
+            // A full write at the top: nothing to fold. Otherwise the top of the
+            // chain is this transaction's own delta entry (it committed with one
+            // recorded); fold the resolved value into it in place.
+            let ResolvedRead::Resolved { accumulated, .. } =
+                Self::onto_storage(walk, || base_of(&location.key))
+            else {
+                continue;
+            };
+            let value = V::from_aggregator(accumulated);
+            let refined = self.interner.with_cell(location.id, |cell| {
+                cell.refine(txn_idx, MVEntry::Value(value.clone()))
             });
-            if let Some(Some(value)) = folded {
-                materialized.push((location.key.clone(), value));
-            }
+            debug_assert_eq!(refined, Some(true), "committed delta writer lost its entry");
+            materialized.push((location.key.clone(), value));
         }
         materialized
     }
@@ -964,8 +902,7 @@ where
     /// Produces the final per-location values after all transactions committed
     /// (`snapshot`, Lines 55–61): for every location touched during the block, the
     /// value written by the highest transaction. Locations whose highest entry is an
-    /// ESTIMATE (impossible after commit) or that only ever held tombstones are
-    /// skipped, matching the paper's `status = OK` filter. Unresolved delta chains
+    /// ESTIMATE (impossible after commit) or that hold no entry are skipped, matching the paper's `status = OK` filter. Unresolved delta chains
     /// fold against base `0`; executors use
     /// [`snapshot_prefix_with_base`](Self::snapshot_prefix_with_base).
     pub fn snapshot(&self) -> Vec<(K, V)>
@@ -1002,8 +939,8 @@ where
         debug_assert!(bound <= self.block_size);
         let mut output = Vec::new();
         self.interner.for_each(|key, cell| {
-            match Self::resolve_cell(cell, bound, false, || base_of(key)) {
-                ResolvedRead::Versioned(_, value) => output.push((key.clone(), value.clone())),
+            match Self::resolve_cell(cell, bound, false, V::clone, || base_of(key)) {
+                ResolvedRead::Versioned(_, value) => output.push((key.clone(), value)),
                 ResolvedRead::Resolved { accumulated, .. } => {
                     output.push((key.clone(), V::from_aggregator(accumulated)))
                 }
@@ -1013,19 +950,31 @@ where
         output
     }
 
-    /// Number of live `(location, txn_idx)` entries; exposed for tests and metrics.
+    /// Number of `(location, txn_idx)` entries; exposed for tests and metrics.
     pub fn entry_count(&self) -> usize {
         let mut count = 0;
         self.interner.for_each(|_, cell| {
-            count += cell.live_entries();
+            count += cell.len();
         });
         count
+    }
+
+    #[cfg(test)]
+    fn last_read_set(&self, txn_idx: TxnIndex) -> Vec<ReadDescriptor<K>> {
+        self.last_read_set[txn_idx].lock().clone()
+    }
+
+    #[cfg(test)]
+    fn last_written_locations(&self, txn_idx: TxnIndex) -> Vec<WrittenLocation<K>> {
+        self.last_written_locations[txn_idx].lock().clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     type Memory = MVMemory<u64, u64>;
 
@@ -1088,9 +1037,9 @@ mod tests {
 
     #[test]
     fn duplicate_keys_in_one_write_set_apply_last_wins_once() {
-        // A duplicated key must publish exactly once per incarnation (the
-        // VersionedCell seqlock contract) with the last value winning, matching
-        // the old BTreeMap insert-overwrite semantics.
+        // A duplicated key must publish exactly once per incarnation with the
+        // last value winning, matching the old BTreeMap insert-overwrite
+        // semantics.
         let memory = Memory::new(4);
         let mut cache = LocationCache::new();
         memory.record(Version::new(1, 0), vec![], vec![(5, 50), (5, 51), (6, 60)]);
@@ -1682,5 +1631,107 @@ mod tests {
             memory.read(&7, 3),
             MVReadOutput::Versioned(Version::new(0, 0), 100)
         );
+    }
+
+    /// The lock discipline under load: four threads record, validate and abort
+    /// overlapping transactions over shared keys plus a delta chain on one hot
+    /// key. Each thread owns the transactions `txn % 4 == thread` (one mutator
+    /// per transaction) and validates a neighbour's, so per-transaction locks,
+    /// the registry and cell locks interleave in every order the API allows. A
+    /// lock-order cycle hangs the threads past the watchdog deadline; a lost or
+    /// misplaced entry shows in the final snapshot.
+    #[test]
+    fn lock_order_stress_terminates_with_the_last_recorded_state() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const THREADS: usize = 4;
+        const TXNS: usize = 32;
+        const KEYS: u64 = 8;
+        const HOT: u64 = 100;
+        const ROUNDS: usize = 200;
+
+        type Effects = (Vec<(u64, u64)>, Vec<(u64, DeltaOp)>);
+        // One incarnation's effects: two overlapping full writes and, in most
+        // rounds, a delta on the hot key.
+        fn effects(txn: usize, round: usize) -> Effects {
+            let value = (txn * 1_000 + round) as u64;
+            let writes = vec![
+                ((txn + round) as u64 % KEYS, value),
+                ((txn * 3 + round) as u64 % KEYS, value),
+            ];
+            let deltas = if (txn + round).is_multiple_of(3) {
+                vec![]
+            } else {
+                vec![(HOT, DeltaOp::add_u64((txn + 1) as i128))]
+            };
+            (writes, deltas)
+        }
+
+        let memory = Arc::new(Memory::new(TXNS));
+        let (done, finished) = mpsc::channel();
+        for thread in 0..THREADS {
+            let memory = Arc::clone(&memory);
+            let done = done.clone();
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    for txn in (thread..TXNS).step_by(THREADS) {
+                        let read_set = [txn as u64 % KEYS, HOT]
+                            .into_iter()
+                            .map(|key| match memory.read(&key, txn) {
+                                MVReadOutput::Versioned(version, _) => {
+                                    ReadDescriptor::from_version(key, version)
+                                }
+                                MVReadOutput::Resolved { accumulated, .. } => {
+                                    ReadDescriptor::from_resolved(key, accumulated)
+                                }
+                                MVReadOutput::NotFound | MVReadOutput::Dependency(_) => {
+                                    ReadDescriptor::from_storage(key)
+                                }
+                            })
+                            .collect();
+                        let (writes, deltas) = effects(txn, round);
+                        memory.record_with_deltas(
+                            Version::new(txn, round),
+                            read_set,
+                            writes,
+                            deltas,
+                        );
+                        memory.validate_read_set(txn);
+                        memory.validate_read_set((txn + 1) % TXNS);
+                        memory.first_estimate_in_prior_reads((txn + 2) % TXNS);
+                        // The last round leaves every transaction's writes live.
+                        if round + 1 < ROUNDS && round % 2 == 1 {
+                            memory.convert_writes_to_estimates(txn);
+                        }
+                    }
+                }
+                done.send(())
+                    .expect("watchdog listens until every thread reports");
+            });
+        }
+        for _ in 0..THREADS {
+            finished
+                .recv_timeout(Duration::from_secs(60))
+                .expect("stress threads hung: lock-order cycle?");
+        }
+
+        // Expected: per key, the value of the highest transaction whose last
+        // incarnation wrote it (last-wins within one write-set); the hot key
+        // sums every last incarnation's delta onto base 0.
+        let mut expected = BTreeMap::new();
+        let mut hot_sum = 0u64;
+        for txn in 0..TXNS {
+            let (writes, deltas) = effects(txn, ROUNDS - 1);
+            for (key, value) in writes {
+                expected.insert(key, value);
+            }
+            hot_sum += deltas.len() as u64 * (txn + 1) as u64;
+        }
+        if hot_sum > 0 {
+            expected.insert(HOT, hot_sum);
+        }
+        let mut snapshot = memory.snapshot();
+        snapshot.sort_unstable();
+        assert_eq!(snapshot, expected.into_iter().collect::<Vec<_>>());
     }
 }

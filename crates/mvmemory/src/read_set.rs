@@ -64,7 +64,7 @@ pub enum ReadOrigin {
 ///
 /// Descriptors produced on the executor's hot path also carry the location's
 /// interned [`LocationId`], which lets validation and dependency re-checks resolve
-/// the location through the lock-free id registry instead of re-hashing the key.
+/// the location through the id registry instead of re-hashing the key.
 /// Descriptors built by hand (tests, external tooling) default to
 /// [`LocationId::UNRESOLVED`] and are validated through the key-lookup fallback.
 #[derive(Debug, Clone, PartialEq, Eq)]

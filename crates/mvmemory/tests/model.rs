@@ -1,4 +1,4 @@
-//! Property-based model test: the lock-free two-level `MVMemory` must behave
+//! Property-based model test: the two-level `MVMemory` must behave
 //! exactly like a trivial sequential reference model under arbitrary interleaved
 //! record / re-record (with implicit removals) / estimate sequences — now
 //! including commutative **delta** entries — observed through every
@@ -8,7 +8,7 @@
 //! written in the most obvious way: a map of per-location `BTreeMap<txn, entry>`
 //! search trees, with reads that walk the tree downwards accumulating deltas
 //! until a full value, an ESTIMATE or the bottom. If the interner, the id
-//! registry, the RCU slot arrays, tombstoning, compaction or the lazy
+//! registry, the sorted per-location entry vectors, removal or the lazy
 //! chain-resolution path ever diverge from those semantics, some read observes
 //! it and shrinking produces a minimal op sequence. Delta slots marked ESTIMATE
 //! and reads that resolve across a [`MVMemory::reset`] are covered explicitly.

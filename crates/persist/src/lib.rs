@@ -53,6 +53,7 @@
 //! explicit barrier that pushes pending batches through and waits for the
 //! fsync.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

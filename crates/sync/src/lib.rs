@@ -2,17 +2,14 @@
 //!
 //! The production Block-STM implementation inside `aptos-core` relies on a handful of
 //! low-level concurrency building blocks: cache-padded atomic counters (to avoid false
-//! sharing between the scheduler's hot counters), a concurrent hash map over access
-//! paths (the `data` map of the `MVMemory` module), and RCU-style atomically swappable
-//! snapshots for per-transaction read-sets and written-location sets.
+//! sharing between the scheduler's hot counters) and a concurrent hash map over access
+//! paths (the `data` map of the `MVMemory` module).
 //!
 //! This crate provides those building blocks from scratch, on top of `std::sync::atomic`
-//! and `parking_lot` locks only. Everything here is safe Rust **except** two audited
-//! `unsafe` modules: [`worker_pool`] (the lifetime erasure every persistent scoped
+//! and `parking_lot` locks only. Everything here is safe Rust **except** one audited
+//! `unsafe` module: [`worker_pool`] (the lifetime erasure every persistent scoped
 //! thread pool — rayon, crossbeam — needs to run borrowed jobs on long-lived
-//! threads) and [`snapshot_ptr`] (the RCU pointer with quiescence-deferred
-//! reclamation behind the multi-version memory's lock-free read path). Each module
-//! carries its own soundness argument.
+//! threads), which carries its own soundness argument.
 //!
 //! Modules:
 //!
@@ -22,13 +19,6 @@
 //! * [`sharded_map`] — [`ShardedMap`](sharded_map::ShardedMap), a lock-sharded hash map
 //!   used by `MVMemory` as the concurrent map over access paths (interning only on
 //!   the current hot path; steady-state accesses go through per-worker caches).
-//! * [`rcu`] — [`RcuCell`](rcu::RcuCell), an atomically replaceable `Arc` snapshot cell
-//!   (the paper's "loaded/stored atomically via RCU" arrays).
-//! * [`snapshot_ptr`] — [`SnapshotPtr`](snapshot_ptr::SnapshotPtr), a wait-free-read
-//!   RCU pointer whose replaced snapshots are parked until a quiescent point.
-//! * [`versioned_cell`] — [`VersionedCell`](versioned_cell::VersionedCell), the
-//!   lock-free per-location multi-version cell (RCU slot array + single-writer
-//!   seqlock slots) that replaces the paper's lock-protected search trees.
 //! * [`backoff`] — [`Backoff`](backoff::Backoff), exponential spin/yield backoff for
 //!   bounded busy-waiting (used by the Bohm baseline when a read blocks on a
 //!   not-yet-produced version).
@@ -46,18 +36,12 @@ pub mod backoff;
 pub mod fxhash;
 pub mod min_counter;
 pub mod padded;
-pub mod rcu;
 pub mod sharded_map;
-pub mod snapshot_ptr;
-pub mod versioned_cell;
 pub mod worker_pool;
 
 pub use backoff::Backoff;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use min_counter::AtomicMinCounter;
 pub use padded::{CachePadded, PaddedAtomicBool, PaddedAtomicU64, PaddedAtomicUsize};
-pub use rcu::RcuCell;
 pub use sharded_map::ShardedMap;
-pub use snapshot_ptr::SnapshotPtr;
-pub use versioned_cell::{CellRead, VersionedCell};
 pub use worker_pool::{JobPanics, WorkerPool};

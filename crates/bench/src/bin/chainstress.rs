@@ -16,10 +16,13 @@
 //!
 //! Set `BLOCK_STM_CHAIN_AUDIT=1` to re-validate every committed read set at
 //! drain time and abort with full wave forensics on the first stale commit.
-//! CI runs a bounded audited pass:
+//! CI runs a bounded audited pass, plus one at a single worker, where every
+//! streamed block runs through the sequential loop (the audit has nothing to
+//! re-validate there):
 //!
 //! ```text
 //! BLOCK_STM_CHAIN_AUDIT=1 cargo run --release -p block-stm-bench --bin chainstress -- 40 2
+//! cargo run --release -p block-stm-bench --bin chainstress -- 40 1
 //! ```
 
 use block_stm::SequentialExecutor;

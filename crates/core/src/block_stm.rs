@@ -12,6 +12,22 @@
 //! of blocks in one dispatch ([`execute_chain`](BlockStm::execute_chain),
 //! [`execute_stream`](BlockStm::execute_stream), see `chain.rs`); a single block
 //! runs in the first slot of the same two-slot arena, without a frontier.
+//!
+//! # One worker
+//!
+//! Multi-version memory, the collaborative scheduler and validation earn their
+//! cost only when several threads speculate. An executor configured with **one**
+//! worker therefore runs every block — of `execute_block`, `execute_chain` and
+//! `execute_stream` alike — through the sequential loop that
+//! [`SequentialExecutor`](crate::SequentialExecutor) also uses, and never builds
+//! the arena, the scheduler or the frontier. The hooks fire exactly as the
+//! commit ladder fires them (`begin_block`, the limiter's cut, one `on_commit`
+//! per transaction with materialized deltas, `end_block`), a panicking
+//! transaction still surfaces as [`ExecutionError::WorkerPanic`], and
+//! [`dispatches`](BlockStm::dispatches) stays 0. The metrics of that path count
+//! blocks, incarnations (one per transaction), commits and delta writes; every
+//! speculation counter (validations, aborts, scheduler polls, location-cache
+//! hits, frontier reads, sweeps, run-ahead) reads 0.
 
 use crate::chain::ChainArena;
 use crate::config::ExecutorOptions;
@@ -21,6 +37,7 @@ use crate::hooks::{
     BlockLimiter, CommitSink, ErasedBlockLimiter, ErasedCommitSink, LimiterAdapter, SinkAdapter,
 };
 use crate::output::BlockOutput;
+use crate::sequential::execute_in_order;
 use crate::view::MVHashMapView;
 use block_stm_metrics::{ExecutionMetrics, MetricsSnapshot};
 use block_stm_mvmemory::{FrontierOverlay, LocationCache, MVMemory};
@@ -174,6 +191,7 @@ impl BlockStmBuilder {
             // The calling thread participates as worker 0 (like rayon's
             // `in_place_scope`), so the pool itself needs one thread fewer.
             pool: WorkerPool::new(workers.saturating_sub(1)),
+            speculative: workers > 1,
             options: self.options,
             sinks: self.sinks,
             limiter: self.limiter,
@@ -197,6 +215,9 @@ pub struct BlockStm {
     pub(crate) vm: Vm,
     pub(crate) options: ExecutorOptions,
     pub(crate) pool: WorkerPool,
+    /// Whether blocks run on Block-STM. With one configured worker nothing
+    /// can overlap, so every block runs through the sequential loop instead.
+    pub(crate) speculative: bool,
     /// Streaming consumers of the committed prefix (type-erased; see
     /// [`BlockStmBuilder::commit_sink`]). Every sink sees every commit event,
     /// in attach order.
@@ -250,9 +271,26 @@ impl BlockStm {
     /// per non-empty [`execute_block`](Self::execute_block) and one per
     /// [`execute_chain`](Self::execute_chain) or
     /// [`execute_stream`](Self::execute_stream) call, however many blocks it
-    /// carries — workers are unparked once per dispatch.
+    /// carries — workers are unparked once per dispatch. Always 0 at one worker,
+    /// where blocks run sequentially.
     pub fn dispatches(&self) -> u64 {
         self.pool.epochs_run()
+    }
+
+    /// Runs `body` — the sequential engine's work for one call — serialized
+    /// with other calls on the executor's state lock (the hooks are shared),
+    /// with a panic contained into [`ExecutionError::WorkerPanic`].
+    pub(crate) fn run_sequentially<R>(
+        &self,
+        body: impl FnOnce() -> Result<R, ExecutionError>,
+    ) -> Result<R, ExecutionError> {
+        let _serialized = self.state.lock();
+        catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+            Err(ExecutionError::WorkerPanic {
+                workers: 1,
+                detail: ExecutionError::panic_message(&*payload),
+            })
+        })
     }
 
     /// Executes `block` against the pre-block `storage`.
@@ -274,6 +312,11 @@ impl BlockStm {
         let num_txns = block.len();
         let sinks = self.sinks.as_slice();
         let limiter = self.limiter.as_deref();
+        if !self.speculative {
+            return self.run_sequentially(|| {
+                execute_in_order(&self.vm, block, storage, None, sinks, limiter)
+            });
+        }
         if num_txns == 0 {
             for sink in sinks {
                 sink.begin_block(0);
@@ -1129,17 +1172,19 @@ mod tests {
     fn steady_state_location_accesses_bypass_the_sharded_map() {
         // Acceptance bar of the two-level MVMemory design: once a location is
         // interned, reads and writes to it never touch the sharded map (no
-        // shard-lock acquisitions). With one worker the accounting is exact: every
-        // transaction resolves key 0 twice (one read, one write), the very first
-        // resolution is the global first touch, and everything else must be a
-        // per-worker cache hit.
+        // shard-lock acquisitions). With one worker — made to speculate, past the
+        // sequential path it would otherwise take — the accounting is exact:
+        // every transaction resolves key 0 twice (one read, one write), the very
+        // first resolution is the global first touch, and everything else must
+        // be a per-worker cache hit.
         let storage = storage_with_keys(1);
         let block: Vec<_> = (0..50)
             .map(|_| SyntheticTransaction::increment(0))
             .collect();
-        let executor = BlockStmBuilder::new(Vm::for_testing())
+        let mut executor = BlockStmBuilder::new(Vm::for_testing())
             .concurrency(1)
             .build();
+        executor.speculative = true;
         let metrics = executor.execute_block(&block, &storage).unwrap().metrics;
         let accesses = metrics.mvmemory_cache_hits
             + metrics.mvmemory_interner_hits

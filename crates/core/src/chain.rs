@@ -38,12 +38,31 @@
 //! 0 start with its gate open). This is what a long-lived node needs: blocks
 //! are formed from a mempool as traffic arrives, and the stream ends only when
 //! the source reports [`BlockFeed::End`].
+//!
+//! A dynamic stream holds at most `FETCH_AHEAD` blocks: the two slots' and
+//! one fetched ahead. A block's handle is released when its slot is re-armed
+//! for a later block, and the source is not polled while the stream is full,
+//! so a long-lived node's memory does not grow with its input history.
+//!
+//! # At one worker
+//!
+//! With one configured worker nothing can overlap, so neither entry point
+//! builds the arena, the frontier or the fetch buffer: each block runs through
+//! the sequential loop (see `block_stm.rs`), reading in-block writes, then the
+//! committed writes of the stream's earlier blocks from a plain overlay, then
+//! storage. The hooks fire per block in stream order exactly as above.
+//! `execute_stream` pulls straight from the source, executes each block as it
+//! arrives and drops it; an empty poll backs off (spin, then yield) and is
+//! counted in `chain_idle_ns`, like a chain worker's. `chain_blocks` still
+//! counts every block; `chain_sweeps`, `chain_runahead_*`, `frontier_reads`
+//! and `chain_cross_block_aborts` read 0.
 
 use crate::block_stm::{BlockStm, EngineState, Worker};
 use crate::config::ExecutorOptions;
 use crate::errors::{ExecutionError, PanicCollector};
 use crate::hooks::{ErasedBlockLimiter, ErasedCommitSink};
 use crate::output::BlockOutput;
+use crate::sequential::execute_in_order;
 use block_stm_metrics::{ExecutionMetrics, MetricsSnapshot};
 use block_stm_mvmemory::{FrontierOverlay, LocationCache};
 use block_stm_storage::Storage;
@@ -52,6 +71,7 @@ use block_stm_vm::{AggregatorValue, Transaction, Vm};
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -217,13 +237,41 @@ impl<T> std::ops::Deref for BlockRef<'_, T> {
     }
 }
 
+/// Blocks a dynamic stream holds at most: the two slots' blocks plus one
+/// fetched ahead, so a handoff can re-arm the freed slot at once. The source
+/// is not polled past this; undelivered work stays with the source.
+const FETCH_AHEAD: usize = 3;
+
+/// The fetched, not yet released blocks of a dynamic stream.
+struct Fetched<T> {
+    /// Blocks released so far: `blocks[0]` is stream block `released`.
+    released: usize,
+    blocks: VecDeque<Arc<Vec<T>>>,
+}
+
+impl<T> Fetched<T> {
+    /// Blocks fetched so far, released ones included.
+    fn len(&self) -> usize {
+        self.released + self.blocks.len()
+    }
+
+    /// Stream block `index`, which must be fetched and not yet released.
+    fn get(&self, index: usize) -> &Arc<Vec<T>> {
+        index
+            .checked_sub(self.released)
+            .and_then(|offset| self.blocks.get(offset))
+            .expect("only fetched, unreleased blocks are looked up")
+    }
+}
+
 /// The dynamic half of [`BlockStream`]: blocks pulled from a source so far.
 struct DynamicStore<'a, T> {
     source: &'a dyn BlockSource<T>,
-    /// Blocks fetched so far, in stream order. Retained for the duration of
-    /// the chain call (harvested blocks stay reachable for bounded straggler
-    /// stints that observed the old slot generation).
-    fetched: RwLock<Vec<Arc<Vec<T>>>>,
+    /// Fetched blocks, in stream order. A block is released once its slot is
+    /// re-armed for a later block — the slot's write lock has then waited
+    /// out every stint on it, and those held their own clone — and the
+    /// source is polled only while fewer than [`FETCH_AHEAD`] are held.
+    fetched: RwLock<Fetched<T>>,
     /// Serializes pulls from the source; the flag records that the source
     /// reported [`BlockFeed::End`]. Only ever `try_lock`ed.
     ended: Mutex<bool>,
@@ -257,7 +305,10 @@ impl<'a, T> BlockStream<'a, T> {
         Self {
             store: BlockStore::Dynamic(DynamicStore {
                 source,
-                fetched: RwLock::new(Vec::new()),
+                fetched: RwLock::new(Fetched {
+                    released: 0,
+                    blocks: VecDeque::new(),
+                }),
                 ended: Mutex::new(false),
             }),
             total: AtomicUsize::new(usize::MAX),
@@ -280,7 +331,7 @@ impl<'a, T> BlockStream<'a, T> {
             BlockStore::Dynamic(store) => {
                 let fetched = store.fetched.read();
                 if index < fetched.len() {
-                    BlockStatus::Ready(fetched[index].len())
+                    BlockStatus::Ready(fetched.get(index).len())
                 } else if self.total() != usize::MAX {
                     BlockStatus::Ended
                 } else {
@@ -295,13 +346,24 @@ impl<'a, T> BlockStream<'a, T> {
     fn block(&self, index: usize) -> BlockRef<'a, T> {
         match &self.store {
             BlockStore::Slice(blocks) => BlockRef::Slice(&blocks[index]),
-            BlockStore::Dynamic(store) => BlockRef::Shared(store.fetched.read()[index].clone()),
+            BlockStore::Dynamic(store) => BlockRef::Shared(store.fetched.read().get(index).clone()),
         }
     }
 
-    /// Pulls newly available blocks from the source, bounded per call. Returns
-    /// whether anything changed (a block arrived or the end was discovered).
-    /// A lost `try_lock` race returns `false` — some other worker is pulling.
+    /// Drops the stream's handle on block `index`, the oldest unreleased one.
+    fn release(&self, index: usize) {
+        if let BlockStore::Dynamic(store) = &self.store {
+            let mut fetched = store.fetched.write();
+            debug_assert_eq!(index, fetched.released, "blocks are released in order");
+            fetched.blocks.pop_front();
+            fetched.released += 1;
+        }
+    }
+
+    /// Pulls newly available blocks from the source, bounded per call and to
+    /// [`FETCH_AHEAD`] unreleased blocks. Returns whether anything changed (a
+    /// block arrived or the end was discovered). A lost `try_lock` race
+    /// returns `false` — some other worker is pulling.
     fn poll(&self) -> bool {
         let BlockStore::Dynamic(store) = &self.store else {
             return false;
@@ -314,9 +376,12 @@ impl<'a, T> BlockStream<'a, T> {
         }
         let mut progressed = false;
         for _ in 0..MAX_PULLS_PER_POLL {
+            if store.fetched.read().blocks.len() >= FETCH_AHEAD {
+                break;
+            }
             match store.source.next_block() {
                 BlockFeed::Ready(block) => {
-                    store.fetched.write().push(Arc::new(block));
+                    store.fetched.write().blocks.push_back(Arc::new(block));
                     progressed = true;
                 }
                 BlockFeed::Pending => break,
@@ -408,6 +473,15 @@ impl BlockStm {
                 metrics: MetricsSnapshot::default(),
             });
         }
+        if !self.speculative {
+            return self.run_sequentially(|| {
+                let mut chain = SequentialChain::new(self, storage);
+                for block in blocks {
+                    chain.execute(block)?;
+                }
+                Ok(chain.finish(0))
+            });
+        }
         self.run_chain(BlockStream::from_slice(blocks), storage)
     }
 
@@ -429,6 +503,30 @@ impl BlockStm {
         T: Transaction,
         S: Storage<T::Key, T::Value>,
     {
+        if !self.speculative {
+            return self.run_sequentially(|| {
+                // Pull, execute, drop: nothing but the committed overlay
+                // outlives a block. Idle polls back off exactly like the
+                // chain workers' (spin, then yield), and are timed the same.
+                let mut chain = SequentialChain::new(self, storage);
+                let mut backoff = Backoff::new();
+                let mut idle_ns = 0u64;
+                loop {
+                    match source.next_block() {
+                        BlockFeed::Ready(block) => {
+                            chain.execute(&block)?;
+                            backoff.reset();
+                        }
+                        BlockFeed::Pending => {
+                            let idle_start = Instant::now();
+                            backoff.snooze();
+                            idle_ns += idle_start.elapsed().as_nanos() as u64;
+                        }
+                        BlockFeed::End => return Ok(chain.finish(idle_ns)),
+                    }
+                }
+            });
+        }
         self.run_chain(BlockStream::from_source(source), storage)
     }
 
@@ -559,6 +657,71 @@ impl BlockStm {
     }
 }
 
+/// A chain on the sequential engine: each block runs through the in-order
+/// loop, reading the committed writes of earlier blocks from a plain overlay,
+/// so no arena, scheduler or frontier is ever built.
+struct SequentialChain<'a, K, V, S> {
+    executor: &'a BlockStm,
+    storage: &'a S,
+    /// Last committed write per key over the blocks executed so far.
+    overlay: HashMap<K, V>,
+    blocks: Vec<BlockOutput<K, V>>,
+    chain_metrics: ExecutionMetrics,
+}
+
+impl<'a, K, V, S> SequentialChain<'a, K, V, S>
+where
+    K: Eq + Hash + Ord + Clone + Debug + Send + Sync + 'static,
+    V: Clone + PartialEq + Debug + Send + Sync + AggregatorValue + 'static,
+    S: Storage<K, V>,
+{
+    fn new(executor: &'a BlockStm, storage: &'a S) -> Self {
+        Self {
+            executor,
+            storage,
+            overlay: HashMap::new(),
+            blocks: Vec::new(),
+            chain_metrics: ExecutionMetrics::new(),
+        }
+    }
+
+    fn execute<T>(&mut self, block: &[T]) -> Result<(), ExecutionError>
+    where
+        T: Transaction<Key = K, Value = V>,
+    {
+        let output = execute_in_order(
+            &self.executor.vm,
+            block,
+            self.storage,
+            Some(&self.overlay),
+            &self.executor.sinks,
+            self.executor.limiter.as_deref(),
+        )?;
+        self.overlay.extend(output.updates.iter().cloned());
+        // Nothing runs ahead of a sequential block.
+        self.chain_metrics.record_chain_block(0);
+        self.blocks.push(output);
+        Ok(())
+    }
+
+    fn finish(self, idle_ns: u64) -> ChainOutput<K, V> {
+        self.chain_metrics.record_chain_idle_ns(idle_ns);
+        let metrics = self
+            .blocks
+            .iter()
+            .fold(self.chain_metrics.snapshot(), |acc, output| {
+                acc.merge(&output.metrics)
+            });
+        let mut updates: Vec<(K, V)> = self.overlay.into_iter().collect();
+        updates.sort_by(|a, b| a.0.cmp(&b.0));
+        ChainOutput {
+            blocks: self.blocks,
+            updates,
+            metrics,
+        }
+    }
+}
+
 /// Everything a chain worker borrows for the duration of one chain call.
 /// Shared by reference into the pool job.
 struct ChainShared<'a, T: Transaction, S> {
@@ -614,6 +777,21 @@ where
         outcome
     }
 
+    /// Re-arms the slot of stream block `index` for it (gated unless
+    /// `gate_open`) and releases the block the slot held before: the write
+    /// lock has waited out every stint on it. Callers hold the advance mutex.
+    fn prepare_slot(&self, index: usize, len: usize, gate_open: bool) {
+        let mut slot = self.arena.slots[index % 2].write();
+        let previous = std::mem::replace(&mut slot.generation, index);
+        slot.state.reset(len);
+        slot.state.metrics.record_block(len);
+        slot.state.scheduler.set_commit_gate(gate_open);
+        drop(slot);
+        if previous != usize::MAX {
+            self.stream.release(previous);
+        }
+    }
+
     /// Calls `begin_block` on every sink and the limiter — the stream-order
     /// announcement that hooks key their per-block state off.
     fn announce(&self, block_size: usize) {
@@ -643,12 +821,7 @@ where
                 debug_assert_eq!(st.announced, st.advanced, "head announced before prepared");
                 self.announce(len);
                 st.announced = st.advanced + 1;
-                let mut slot = self.arena.slots[st.advanced % 2].write();
-                slot.generation = st.advanced;
-                slot.state.reset(len);
-                slot.state.metrics.record_block(len);
-                slot.state.scheduler.set_commit_gate(true);
-                drop(slot);
+                self.prepare_slot(st.advanced, len, true);
                 st.prepared = st.advanced + 1;
                 progressed = true;
             }
@@ -656,12 +829,7 @@ where
         if st.prepared == st.advanced + 1 {
             // Head in flight, run-ahead slot free: prepare the successor gated.
             if let BlockStatus::Ready(len) = self.stream.status(st.prepared) {
-                let mut slot = self.arena.slots[st.prepared % 2].write();
-                slot.generation = st.prepared;
-                slot.state.reset(len);
-                slot.state.metrics.record_block(len);
-                slot.state.scheduler.set_commit_gate(false);
-                drop(slot);
+                self.prepare_slot(st.prepared, len, false);
                 st.prepared += 1;
                 progressed = true;
             }
@@ -855,6 +1023,8 @@ where
             }
             results[head] = Some(output);
         }
+        // Phase 3 may release this block; the stream's handle is the last.
+        drop(block);
 
         // Phase 2: hand the commit stream to the successor, in stream order —
         // hooks learn about block `head + 1` before its first commit can be
@@ -886,12 +1056,7 @@ where
                     // needed (same argument as block 0).
                     debug_assert_eq!(st.prepared, head + 1, "exactly the head was in flight");
                     self.arena.chain_metrics.record_chain_block(0);
-                    let mut slot = self.arena.slots[(head + 1) % 2].write();
-                    slot.generation = head + 1;
-                    slot.state.reset(successor_size);
-                    slot.state.metrics.record_block(successor_size);
-                    slot.state.scheduler.set_commit_gate(true);
-                    drop(slot);
+                    self.prepare_slot(head + 1, successor_size, true);
                     st.prepared = head + 2;
                 }
             }
@@ -910,12 +1075,7 @@ where
         // scheduler); new stints check the generation and move on.
         if st.prepared == head + 2 {
             if let BlockStatus::Ready(next_size) = self.stream.status(head + 2) {
-                let mut slot = self.arena.slots[head % 2].write();
-                slot.generation = head + 2;
-                slot.state.reset(next_size);
-                slot.state.metrics.record_block(next_size);
-                slot.state.scheduler.set_commit_gate(false);
-                drop(slot);
+                self.prepare_slot(head + 2, next_size, false);
                 st.prepared = head + 3;
             }
         }
@@ -1294,6 +1454,72 @@ mod tests {
         for (index, block) in streamed.blocks.iter().enumerate() {
             assert_eq!(block.truncated_at, Some(7), "block {index} cut diverges");
         }
+    }
+
+    /// A transaction that counts the blocks alive: the first transaction of
+    /// each block holds a token that is counted up when the block is formed
+    /// and down when the block is dropped.
+    struct CountedTxn {
+        inner: SyntheticTransaction,
+        _token: Option<AliveToken>,
+    }
+
+    struct AliveToken(Arc<AtomicUsize>);
+
+    impl Drop for AliveToken {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Transaction for CountedTxn {
+        type Key = u64;
+        type Value = u64;
+
+        fn execute<R: StateReader<u64, u64>>(
+            &self,
+            ctx: &mut TransactionContext<'_, u64, u64, R>,
+        ) -> Result<(), ExecutionFailure> {
+            self.inner.execute(ctx)
+        }
+    }
+
+    #[test]
+    fn a_long_stream_holds_a_bounded_number_of_blocks() {
+        // 200 blocks dribble in at two workers; the source checks, whenever it
+        // forms a block, how many of the blocks it formed are still alive.
+        let storage = storage_with_keys(4);
+        let alive = Arc::new(AtomicUsize::new(0));
+        let max_alive = AtomicUsize::new(0);
+        let formed = AtomicUsize::new(0);
+        let calls = AtomicUsize::new(0);
+        let source = || {
+            if calls.fetch_add(1, Ordering::SeqCst) % 3 != 2 {
+                return BlockFeed::Pending;
+            }
+            let index = formed.fetch_add(1, Ordering::SeqCst);
+            if index == 200 {
+                return BlockFeed::End;
+            }
+            let now_alive = alive.fetch_add(1, Ordering::SeqCst) + 1;
+            max_alive.fetch_max(now_alive, Ordering::SeqCst);
+            BlockFeed::Ready(
+                (0..8u64)
+                    .map(|i| CountedTxn {
+                        inner: SyntheticTransaction::increment((i + index as u64) % 4),
+                        _token: (i == 0).then(|| AliveToken(alive.clone())),
+                    })
+                    .collect(),
+            )
+        };
+        let chain = BlockStmBuilder::new(Vm::for_testing())
+            .concurrency(2)
+            .build();
+        let output = chain.execute_stream(&source, &storage).unwrap();
+        assert_eq!(output.num_blocks(), 200);
+        let max_alive = max_alive.load(Ordering::SeqCst);
+        assert!(max_alive <= FETCH_AHEAD, "{max_alive} blocks alive at once");
+        assert_eq!(alive.load(Ordering::SeqCst), 0, "every block was dropped");
     }
 
     /// A transaction that panics when executed — drives the chain's panic

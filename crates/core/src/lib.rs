@@ -133,6 +133,19 @@
 //! "Chained execution" section has a doctested walkthrough; the
 //! `block-stm-scheduler` crate docs carry the safety argument.
 //!
+//! ## One worker runs sequentially
+//!
+//! Speculation only pays with several threads. A [`BlockStm`] configured with
+//! one worker runs every block — of `execute_block`, `execute_chain` and
+//! `execute_stream` — through the [`SequentialExecutor`]'s loop and never
+//! builds the multi-version memory, the scheduler or the chain arena. Every
+//! hook still fires as the commit ladder fires it: `begin_block`, the
+//! [`BlockLimiter`]'s cut, one `on_commit` per transaction with materialized
+//! deltas, `end_block`. [`BlockStm::dispatches`] stays 0, and the speculation
+//! metrics (validations, aborts, scheduler polls, location-cache hits, frontier
+//! reads, sweeps, run-ahead) read 0; blocks, incarnations, commits, delta
+//! writes and `chain_blocks` are counted.
+//!
 //! ## Commutative delta writes (aggregators)
 //!
 //! Hot-key blocks (fee counters, total supply, vote tallies) collapse ordered

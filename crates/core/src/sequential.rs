@@ -1,4 +1,5 @@
-//! The sequential baseline executor.
+//! The sequential baseline executor, and the in-order loop it shares with
+//! [`BlockStm`](crate::BlockStm)'s one-worker path.
 //!
 //! Executes the block's transactions one after another, in preset order, against the
 //! pre-block storage plus the accumulated in-block writes. This is
@@ -6,28 +7,48 @@
 //! * the **baseline** every figure of the paper compares against, and
 //! * the **correctness oracle**: by definition of the problem (§2), every other engine
 //!   must commit exactly this executor's final state.
+//!
+//! [`execute_in_order`] is that loop, written once. `SequentialExecutor` calls it
+//! without hooks; a `BlockStm` with one worker calls it for every block it runs,
+//! with its commit sinks, its block limiter and (in a chain) the committed
+//! writes of earlier blocks.
 
 use crate::errors::ExecutionError;
 use crate::executor::BlockExecutor;
+use crate::hooks::{ErasedBlockLimiter, ErasedCommitSink};
 use crate::output::BlockOutput;
 use block_stm_metrics::ExecutionMetrics;
 use block_stm_storage::Storage;
-use block_stm_vm::{AggregatorValue, ReadOutcome, StateReader, Transaction, Vm, VmStatus};
+use block_stm_vm::{
+    AbortCode, AggregatorValue, ReadOutcome, StateReader, Transaction, Vm, VmStatus,
+};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::sync::Arc;
 
-/// A state view over "pre-block storage + writes of lower transactions", used by the
-/// sequential executor (and by the LiTM baseline between rounds).
-pub(crate) struct SequentialView<'a, K, V, S> {
+/// A state view over "pre-block storage + committed writes of earlier blocks +
+/// writes of lower transactions", used by [`execute_in_order`].
+struct SequentialView<'a, K, V, S> {
     storage: &'a S,
+    /// Chains only: the last committed write per key of the stream's earlier
+    /// blocks.
+    overlay: Option<&'a HashMap<K, V>>,
     /// Writes committed by transactions lower in the block.
     committed: &'a HashMap<K, V>,
 }
 
-impl<'a, K, V, S> SequentialView<'a, K, V, S> {
-    pub(crate) fn new(storage: &'a S, committed: &'a HashMap<K, V>) -> Self {
-        Self { storage, committed }
+/// The value `key` holds before the block: the overlay of earlier blocks
+/// first, then storage.
+fn base_value<K, V, S>(storage: &S, overlay: Option<&HashMap<K, V>>, key: &K) -> Option<V>
+where
+    K: Eq + Hash,
+    V: Clone,
+    S: Storage<K, V>,
+{
+    match overlay.and_then(|overlay| overlay.get(key)) {
+        Some(value) => Some(value.clone()),
+        None => storage.get(key),
     }
 }
 
@@ -41,11 +62,127 @@ where
         if let Some(value) = self.committed.get(key) {
             return ReadOutcome::Value(value.clone());
         }
-        match self.storage.get(key) {
+        match base_value(self.storage, self.overlay, key) {
             Some(value) => ReadOutcome::Value(value),
             None => ReadOutcome::NotFound,
         }
     }
+}
+
+/// Executes `block` in preset order and drives the hooks exactly as the
+/// commit ladder's drain does: `begin_block(n)` on every sink and the
+/// limiter; per transaction the limiter's `include_next` before anything is
+/// applied, then `on_commit` with the materialized deltas and
+/// `execution_cursor = txn_idx + 1`; `end_block(m)` once the block is
+/// complete or cut. A hook typed for another state model fails the block
+/// with [`ExecutionError::HookStateModelMismatch`] (and no `end_block`).
+///
+/// Reads observe the in-block writes, then `overlay` (the committed writes of
+/// a chain's earlier blocks), then `storage`.
+pub(crate) fn execute_in_order<T, S>(
+    vm: &Vm,
+    block: &[T],
+    storage: &S,
+    overlay: Option<&HashMap<T::Key, T::Value>>,
+    sinks: &[Arc<dyn ErasedCommitSink>],
+    limiter: Option<&dyn ErasedBlockLimiter>,
+) -> Result<BlockOutput<T::Key, T::Value>, ExecutionError>
+where
+    T: Transaction,
+    S: Storage<T::Key, T::Value>,
+{
+    let num_txns = block.len();
+    for sink in sinks {
+        sink.begin_block(num_txns);
+    }
+    if let Some(limiter) = limiter {
+        limiter.begin_block(num_txns);
+    }
+    let metrics = ExecutionMetrics::new();
+    metrics.record_block(num_txns);
+    let mut committed: HashMap<T::Key, T::Value> = HashMap::new();
+    let mut outputs = Vec::with_capacity(num_txns);
+    let mut cut = None;
+
+    for (txn_idx, txn) in block.iter().enumerate() {
+        metrics.record_incarnation();
+        let view = SequentialView {
+            storage,
+            overlay,
+            committed: &committed,
+        };
+        let output = match vm.execute(txn, &view) {
+            VmStatus::Done(output) => output,
+            VmStatus::ReadError { blocking_txn_idx } => {
+                // A sequential execution can never observe an ESTIMATE; report
+                // the broken invariant instead of unwinding.
+                return Err(ExecutionError::Internal {
+                    detail: format!(
+                        "sequential execution observed an ESTIMATE (blocking txn \
+                         {blocking_txn_idx})"
+                    ),
+                });
+            }
+        };
+        metrics.record_delta_writes(output.deltas.len() as u64);
+        if output.abort_code == Some(AbortCode::DeltaOverflow) {
+            metrics.record_delta_overflow_abort();
+        }
+        if let Some(limiter) = limiter {
+            match limiter.include_next_erased(txn_idx, &output) {
+                Some(true) => {}
+                Some(false) => {
+                    cut = Some(txn_idx);
+                    break;
+                }
+                None => {
+                    return Err(ExecutionError::HookStateModelMismatch {
+                        hook: "BlockLimiter",
+                    })
+                }
+            }
+        }
+        for write in &output.writes {
+            committed.insert(write.key.clone(), write.value.clone());
+        }
+        // Commutative delta writes materialize immediately here: the
+        // sequential engine always knows the exact prior value. The bounds
+        // were checked during execution (the context's probe reads this very
+        // state), so a clamped application never actually clamps.
+        let mut resolved_deltas: Vec<(T::Key, T::Value)> = Vec::new();
+        for (key, op) in &output.deltas {
+            let base = match committed.get(key) {
+                Some(value) => value.to_aggregator(),
+                None => base_value(storage, overlay, key).map_or(0, |value| value.to_aggregator()),
+            };
+            debug_assert!(
+                op.apply_checked(base).is_some(),
+                "sequential delta application re-checked out of bounds"
+            );
+            let value = T::Value::from_aggregator(op.apply_clamped(base));
+            if !sinks.is_empty() {
+                resolved_deltas.push((key.clone(), value.clone()));
+            }
+            committed.insert(key.clone(), value);
+        }
+        for sink in sinks {
+            if !sink.on_commit_erased(txn_idx, &output, &resolved_deltas, txn_idx + 1) {
+                return Err(ExecutionError::HookStateModelMismatch { hook: "CommitSink" });
+            }
+        }
+        outputs.push(output);
+    }
+    // Every included transaction commits exactly once, right after it
+    // executed: the execution cursor is always one past the commit.
+    let included = outputs.len();
+    metrics.record_commits(included as u64, included as u64, u64::from(included > 0));
+    for sink in sinks {
+        sink.end_block(included);
+    }
+    Ok(
+        BlockOutput::new(committed.into_iter().collect(), outputs, metrics.snapshot())
+            .with_truncation(cut),
+    )
 }
 
 /// Executes blocks sequentially in the preset order.
@@ -70,59 +207,7 @@ impl SequentialExecutor {
         T: Transaction,
         S: Storage<T::Key, T::Value>,
     {
-        let metrics = ExecutionMetrics::new();
-        metrics.record_block(block.len());
-        let mut committed: HashMap<T::Key, T::Value> = HashMap::new();
-        let mut outputs = Vec::with_capacity(block.len());
-
-        for txn in block {
-            metrics.record_incarnation();
-            let view = SequentialView::new(storage, &committed);
-            let output = match self.vm.execute(txn, &view) {
-                VmStatus::Done(output) => output,
-                VmStatus::ReadError { blocking_txn_idx } => {
-                    // A sequential execution can never observe an ESTIMATE; report
-                    // the broken invariant instead of unwinding.
-                    return Err(ExecutionError::Internal {
-                        detail: format!(
-                            "sequential execution observed an ESTIMATE (blocking txn \
-                             {blocking_txn_idx})"
-                        ),
-                    });
-                }
-            };
-            for write in &output.writes {
-                committed.insert(write.key.clone(), write.value.clone());
-            }
-            // Commutative delta writes materialize immediately here: the
-            // sequential engine always knows the exact prior value. The bounds
-            // were checked during execution (the context's probe reads this very
-            // state), so a clamped application never actually clamps.
-            for (key, op) in &output.deltas {
-                let base = committed
-                    .get(key)
-                    .map(|value| value.to_aggregator())
-                    .or_else(|| storage.get(key).map(|value| value.to_aggregator()))
-                    .unwrap_or(0);
-                debug_assert!(
-                    op.apply_checked(base).is_some(),
-                    "sequential delta application re-checked out of bounds"
-                );
-                committed.insert(
-                    key.clone(),
-                    T::Value::from_aggregator(op.apply_clamped(base)),
-                );
-            }
-            outputs.push(output);
-        }
-        // Every transaction commits exactly once, with zero commit lag.
-        metrics.record_commits(block.len() as u64, 0, 0);
-
-        Ok(BlockOutput::new(
-            committed.into_iter().collect(),
-            outputs,
-            metrics.snapshot(),
-        ))
+        execute_in_order(&self.vm, block, storage, None, &[], None)
     }
 }
 

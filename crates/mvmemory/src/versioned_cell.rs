@@ -119,7 +119,7 @@ impl<V> LocationCell<V> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     /// The highest entry strictly below a bound, with the value cloned out.
     #[derive(Debug, PartialEq, Eq)]
@@ -300,13 +300,18 @@ mod tests {
         const ROUNDS: usize = 300;
         let cell: Arc<LocationCell<u64>> = Arc::new(LocationCell::new());
         let stop = Arc::new(AtomicBool::new(false));
+        // Writers start only once every reader runs: on a loaded host the
+        // writers, spawned first, could otherwise finish before any read.
+        let start = Arc::new(Barrier::new(8));
 
         // value = txn * 1_000_000 + incarnation: readers can re-derive the expected
         // value from the version they observed.
         let writers: Vec<_> = (0..4usize)
             .map(|w| {
                 let cell = Arc::clone(&cell);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     // Writer w exclusively owns transactions w, 4+w, 8+w, 12+w —
                     // the single-mutator-per-transaction contract.
                     for round in 0..ROUNDS {
@@ -335,7 +340,9 @@ mod tests {
             .map(|r| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let mut observed = 0u64;
                     let mut bound = r + 1;
                     while !stop.load(Ordering::Relaxed) {

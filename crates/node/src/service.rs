@@ -11,7 +11,9 @@
 //! source, so block formation and execution overlap and a block cut while
 //! block `k` executes becomes block `k+1`'s run-ahead work. Commit sinks
 //! (including a durability sink) stream the committed prefix in preset order
-//! exactly as in a one-shot chain dispatch.
+//! exactly as in a one-shot chain dispatch. With one worker the engine instead
+//! polls the former itself and runs each formed block sequentially as it
+//! arrives, hooks included, holding no block once it has executed.
 //!
 //! # Shutdown and drain ordering
 //!

@@ -15,7 +15,9 @@
 //! and thread count (1–8); failing seeds persist to
 //! `proptest-regressions/chain_execution.txt`. Sinks must see the stream block
 //! by block — `begin_block`, the block's commits, `end_block` — on both
-//! `execute_chain` and `execute_stream`.
+//! `execute_chain` and `execute_stream`. At one worker the chain runs each
+//! block sequentially, so speculation's own counters (frontier reads, sweeps)
+//! are asserted at two workers and more, and read 0 at one.
 
 use block_stm::{
     BlockFeed, BlockGasLimit, BlockOutput, BlockStmBuilder, ChainOutput, MultiSink, Transaction, Vm,
@@ -215,6 +217,12 @@ fn eth_transfer_stream_matches_barrier_execution_at_every_thread_count() {
         assert_chain_matches_barrier(&label, &chained, &barrier);
         check_oracle_per_block(&label, &oracle, &blocks, &storage, &chained);
         assert_eq!(chained.metrics.chain_blocks, 6, "[{label}]");
+        if threads == 1 {
+            // Sequential blocks read earlier blocks' writes from a plain
+            // overlay; there is no frontier.
+            assert_eq!(chained.metrics.frontier_reads, 0, "[{label}]");
+            continue;
+        }
         // Chunked nonce sequences span blocks: later blocks must read their
         // senders' advanced nonces through the cross-block frontier.
         assert!(
@@ -222,6 +230,83 @@ fn eth_transfer_stream_matches_barrier_execution_at_every_thread_count() {
             "[{label}] no reads were served from the cross-block frontier"
         );
     }
+}
+
+/// Checks one workload's stream at one worker, where every block runs through
+/// the sequential loop: `execute_chain` and a dribbling `execute_stream` must
+/// both equal the barrier reference and pass the conservation oracle, count
+/// every block, never dispatch onto the pool and record no speculation.
+fn check_one_worker_stream<T>(
+    label: &str,
+    oracle: &ConservationOracle,
+    blocks: &[Vec<T>],
+    storage: &AccountStorage,
+) where
+    T: AccountTransaction + Clone,
+{
+    let barrier = barrier_reference(blocks, storage, None);
+    let executor = BlockStmBuilder::new(Vm::for_testing())
+        .concurrency(1)
+        .build();
+    let chained = executor
+        .execute_chain(blocks, storage)
+        .expect("chained execution failed");
+    let pending = Mutex::new(blocks.iter().cloned().collect::<VecDeque<_>>());
+    let polls = AtomicUsize::new(0);
+    let source = move || {
+        if polls.fetch_add(1, Ordering::Relaxed) % 3 != 2 {
+            return BlockFeed::Pending;
+        }
+        match pending.lock().unwrap().pop_front() {
+            Some(block) => BlockFeed::Ready(block),
+            None => BlockFeed::End,
+        }
+    };
+    let streamed = executor
+        .execute_stream(&source, storage)
+        .expect("streamed execution failed");
+    for (shape, output) in [("chain", &chained), ("stream", &streamed)] {
+        let label = format!("{label} {shape}");
+        assert_chain_matches_barrier(&label, output, &barrier);
+        check_oracle_per_block(&label, oracle, blocks, storage, output);
+        let metrics = &output.metrics;
+        assert_eq!(metrics.chain_blocks, blocks.len() as u64, "[{label}]");
+        assert_eq!(metrics.committed_txns, metrics.total_txns, "[{label}]");
+        assert_eq!(metrics.incarnations, metrics.total_txns, "[{label}]");
+        assert_eq!(metrics.validations, 0, "[{label}]");
+        assert_eq!(metrics.frontier_reads, 0, "[{label}]");
+        assert_eq!(metrics.chain_sweeps, 0, "[{label}]");
+    }
+    assert_eq!(
+        executor.dispatches(),
+        0,
+        "[{label}] nothing ran on the pool"
+    );
+}
+
+#[test]
+fn one_worker_chains_and_streams_match_barrier_execution() {
+    let eth = EthTransferWorkload::new(30, 240)
+        .with_conflict(25, 2)
+        .with_failures(15, 10);
+    let (storage, block) = eth.generate();
+    check_one_worker_stream(
+        "eth@1",
+        &eth_oracle(&eth),
+        &chunk_into_blocks(&block, 6),
+        &storage,
+    );
+
+    let erc20 = Erc20Workload::new(24, 200)
+        .with_mix(50, 20)
+        .with_fee_mode(FeeMode::Delta);
+    let (storage, block) = erc20.generate();
+    check_one_worker_stream(
+        "erc20@1",
+        &erc20_oracle(&erc20),
+        &chunk_into_blocks(&block, 5),
+        &storage,
+    );
 }
 
 #[test]
@@ -383,15 +468,21 @@ fn dense_increment_chain_reads_through_the_frontier_and_reports_chain_metrics() 
         assert_chain_matches_barrier(&label, &chained, &barrier);
         let metrics = &chained.metrics;
         assert_eq!(metrics.chain_blocks, 8, "[{label}]");
-        assert!(
-            metrics.chain_sweeps >= 7,
-            "[{label}] every advance sweeps its successor at least once: {}",
-            metrics.chain_sweeps
-        );
-        assert!(
-            metrics.frontier_reads > 0,
-            "[{label}] hot keys must be served from the cross-block frontier"
-        );
+        if threads == 1 {
+            // Sequential blocks: no sweep, no frontier.
+            assert_eq!(metrics.chain_sweeps, 0, "[{label}]");
+            assert_eq!(metrics.frontier_reads, 0, "[{label}]");
+        } else {
+            assert!(
+                metrics.chain_sweeps >= 7,
+                "[{label}] every advance sweeps its successor at least once: {}",
+                metrics.chain_sweeps
+            );
+            assert!(
+                metrics.frontier_reads > 0,
+                "[{label}] hot keys must be served from the cross-block frontier"
+            );
+        }
         // Every hot key was rewritten by the last block (exact values are
         // salt-mixed; byte-for-byte correctness is the barrier check above).
         let keys: Vec<u64> = chained.updates.iter().map(|(key, _)| *key).collect();

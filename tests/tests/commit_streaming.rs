@@ -11,15 +11,24 @@
 //! * the commit-lag and committed-prefix-read metrics are populated;
 //! * every sink (directly attached or behind a `MultiSink`) sees each block as
 //!   `begin_block(n)`, its commits in order, then `end_block(m)` — `m` the cut
-//!   point after a limiter cut — before the next block begins.
+//!   point after a limiter cut — before the next block begins;
+//! * at one worker, where every block runs through the sequential loop, the
+//!   hooks fire exactly as the ladder fires them: the same call order, the
+//!   same cut, the same materialized deltas, the same typed errors and the
+//!   same panic containment.
 
 use block_stm::{
-    BlockGasLimit, BlockStmBuilder, CommitEvent, CommitSink, MultiSink, SequentialExecutor, Vm,
+    BlockFeed, BlockGasLimit, BlockStmBuilder, CommitEvent, CommitSink, ExecutionError,
+    ExecutionFailure, MultiSink, SequentialExecutor, StateReader, Transaction, TransactionContext,
+    Vm,
 };
 use block_stm_storage::InMemoryStorage;
-use block_stm_tests::{expected_calls, HookLog};
+use block_stm_tests::{expected_calls, HookCall, HookLog};
 use block_stm_vm::synthetic::SyntheticTransaction;
-use block_stm_workloads::{CommitStallWorkload, LongChainWorkload, SyntheticWorkload};
+use block_stm_workloads::{
+    CommitStallWorkload, DeltaHotspotWorkload, EthTransferWorkload, LongChainWorkload,
+    SyntheticWorkload,
+};
 use parking_lot::Mutex;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -215,6 +224,13 @@ fn hook_contract_holds_at_every_thread_count() {
                 expected_calls(&shapes),
                 "{threads} threads, budget {budget:?}"
             );
+            // One worker runs every block through the sequential loop, never
+            // on the pool.
+            assert_eq!(
+                executor.dispatches() == 0,
+                threads == 1,
+                "{threads} threads"
+            );
         }
     }
 }
@@ -289,4 +305,151 @@ fn streaming_survives_arena_reuse_across_blocks() {
         );
         storage.apply_updates(output.updates.iter().cloned());
     }
+}
+
+/// One streamed commit: index, materialized deltas and execution cursor.
+type DeltaCommit = (usize, Vec<(u64, u64)>, usize);
+
+/// A sink collecting every commit's materialized deltas.
+#[derive(Default)]
+struct ResolvedSink(Mutex<Vec<DeltaCommit>>);
+
+impl CommitSink<u64, u64> for ResolvedSink {
+    fn on_commit(&self, event: &CommitEvent<'_, u64, u64>) {
+        self.0.lock().push((
+            event.txn_idx,
+            event.resolved_deltas.to_vec(),
+            event.execution_cursor,
+        ));
+    }
+}
+
+/// The materialized deltas a sink receives at one worker equal Block-STM's at
+/// two workers, and the execution cursor sits one past each commit.
+#[test]
+fn one_worker_streams_the_same_resolved_deltas_as_block_stm() {
+    let workload = DeltaHotspotWorkload::new(120, 3).with_read_your_delta_pct(30);
+    let storage: InMemoryStorage<u64, u64> = workload.initial_state().into_iter().collect();
+    let block = workload.generate_block();
+    let streamed = |threads: usize| {
+        let sink = Arc::new(ResolvedSink::default());
+        let output = BlockStmBuilder::new(Vm::for_testing())
+            .concurrency(threads)
+            .commit_sink::<u64, u64>(sink.clone())
+            .build()
+            .execute_block(&block, &storage)
+            .unwrap();
+        let commits = std::mem::take(&mut *sink.0.lock());
+        (output, commits)
+    };
+    let (sequential, sequential_commits) = streamed(1);
+    assert!(
+        sequential_commits
+            .iter()
+            .any(|(_, resolved, _)| !resolved.is_empty()),
+        "the block must carry deltas"
+    );
+    for (idx, (txn_idx, _, cursor)) in sequential_commits.iter().enumerate() {
+        assert_eq!(*txn_idx, idx);
+        assert_eq!(*cursor, idx + 1, "the cursor sits one past the commit");
+    }
+    let resolved = |commits: &[DeltaCommit]| -> Vec<(usize, Vec<(u64, u64)>)> {
+        commits
+            .iter()
+            .map(|(idx, resolved, _)| (*idx, resolved.clone()))
+            .collect()
+    };
+    let (speculative, commits) = streamed(2);
+    assert_eq!(speculative.updates, sequential.updates);
+    assert_eq!(resolved(&commits), resolved(&sequential_commits));
+}
+
+/// Hooks typed for another state model fail a one-worker block with the same
+/// typed errors as Block-STM, and the executor stays usable.
+#[test]
+fn one_worker_reports_both_typed_hook_mismatches() {
+    let (account_storage, account_block) = EthTransferWorkload::new(8, 16).generate();
+    let storage = initial_storage();
+    let block = SyntheticWorkload::new(KEYS, 20).generate_block();
+    let sink = BlockStmBuilder::new(Vm::for_testing())
+        .concurrency(1)
+        .commit_sink::<u64, u64>(Arc::new(HookLog::default()))
+        .build();
+    let limiter = BlockStmBuilder::new(Vm::for_testing())
+        .concurrency(1)
+        .block_limiter::<u64, u64>(Arc::new(BlockGasLimit::new(u64::MAX)))
+        .build();
+    for (executor, hook) in [(sink, "CommitSink"), (limiter, "BlockLimiter")] {
+        match executor.execute_block(&account_block, &account_storage) {
+            Err(ExecutionError::HookStateModelMismatch { hook: reported }) => {
+                assert_eq!(reported, hook)
+            }
+            other => panic!("expected a {hook} mismatch, got {other:?}"),
+        }
+        let chain: Vec<Vec<_>> = vec![account_block.clone()];
+        match executor.execute_chain(&chain, &account_storage) {
+            Err(ExecutionError::HookStateModelMismatch { hook: reported }) => {
+                assert_eq!(reported, hook)
+            }
+            other => panic!("expected a {hook} mismatch on a chain, got {other:?}"),
+        }
+        let output = executor.execute_block(&block, &storage).unwrap();
+        assert_eq!(output.num_txns(), 20, "{hook}: the executor survives");
+    }
+}
+
+/// A transaction that panics when told to.
+struct PanickingTxn {
+    panics: bool,
+}
+
+impl Transaction for PanickingTxn {
+    type Key = u64;
+    type Value = u64;
+
+    fn execute<R: StateReader<u64, u64>>(
+        &self,
+        ctx: &mut TransactionContext<'_, u64, u64, R>,
+    ) -> Result<(), ExecutionFailure> {
+        if self.panics {
+            panic!("one-worker transaction logic exploded");
+        }
+        ctx.write(1, 1);
+        Ok(())
+    }
+}
+
+/// A panicking transaction fails a one-worker block or stream with
+/// `WorkerPanic`, its block never ends, and the executor stays usable.
+#[test]
+fn one_worker_contains_a_panicking_transaction() {
+    let storage = initial_storage();
+    let log = Arc::new(HookLog::default());
+    let executor = BlockStmBuilder::new(Vm::for_testing())
+        .concurrency(1)
+        .commit_sink::<u64, u64>(log.clone())
+        .build();
+    let bad: Vec<PanickingTxn> = (0..4).map(|i| PanickingTxn { panics: i == 2 }).collect();
+    let expect_panic = |result: Result<(), ExecutionError>| match result {
+        Err(ExecutionError::WorkerPanic { workers, detail }) => {
+            assert_eq!(workers, 1);
+            assert!(detail.contains("exploded"), "detail: {detail}");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    };
+    expect_panic(executor.execute_block(&bad, &storage).map(|_| ()));
+    assert_eq!(
+        log.calls(),
+        vec![HookCall::Begin(4), HookCall::Commit(0), HookCall::Commit(1)],
+        "the failed block's deliveries are abandoned without end_block"
+    );
+    let pending = Mutex::new(Some(bad));
+    let source = move || match pending.lock().take() {
+        Some(block) => BlockFeed::Ready(block),
+        None => BlockFeed::End,
+    };
+    expect_panic(executor.execute_stream(&source, &storage).map(|_| ()));
+    let healthy: Vec<PanickingTxn> = (0..8).map(|_| PanickingTxn { panics: false }).collect();
+    let output = executor.execute_block(&healthy, &storage).unwrap();
+    assert_eq!(output.num_txns(), 8);
 }
